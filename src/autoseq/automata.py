@@ -5,13 +5,18 @@ letters.  Construction validates the whole structure once (including totality
 of the transition and output maps); after that every operation in this module
 is a pure function returning fresh machines, so values can be shared freely.
 
-Equivalence checks are exact: they walk the product automaton and either
-prove the machines equal or return a shortest word witnessing the difference.
+A Dfa is a Dfao whose output is "accepting or not".  The algorithms see a
+state only through its observation (acceptance for a Dfa, the output letter
+for a Dfao), so each exists once for both kinds: one Moore refinement with
+canonical renaming minimizes, one breadth-first search with back-pointers
+finds shortest accepted words and shortest counterexamples, and one pair
+product builds the boolean operations.  Equivalence checks are exact: they
+walk the product automaton and either prove the machines equal or return a
+shortest word witnessing the difference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Mapping
 
@@ -194,6 +199,15 @@ def reachable_states(machine: Machine) -> list[str]:
     return order
 
 
+def _observer(machine: Machine) -> Callable[[str], Hashable]:
+    """What a state shows the outside: acceptance for a :class:`Dfa`, the
+    output letter for a :class:`Dfao`.  Two states are told apart exactly
+    when some word leads them to different observations."""
+    if isinstance(machine, Dfa):
+        return machine.accepting.__contains__
+    return machine.outputs.__getitem__
+
+
 def _explore(start: Hashable, alphabet, step, prefix: str = "q"):
     """Materialize the machine reachable from ``start`` under ``step``.
 
@@ -215,6 +229,18 @@ def _explore(start: Hashable, alphabet, step, prefix: str = "q"):
     return order, names, transitions
 
 
+def _build(kind: type, alphabet, explored, observe: Callable) -> Machine:
+    """Machine of ``kind`` from the result of :func:`_explore`; each state
+    observes ``observe(raw state)``, as acceptance or as output letter."""
+    order, names, transitions = explored
+    states = tuple(names[raw] for raw in order)
+    if kind is Dfa:
+        accepting = frozenset(names[raw] for raw in order if observe(raw))
+        return Dfa(alphabet, states, states[0], accepting=accepting, transitions=transitions)
+    outputs = {names[raw]: observe(raw) for raw in order}
+    return Dfao(alphabet, states, states[0], transitions=transitions, outputs=outputs)
+
+
 def _index_by(order, key: Callable) -> dict:
     ids: dict = {}
     out = {}
@@ -226,17 +252,19 @@ def _index_by(order, key: Callable) -> dict:
     return out
 
 
-def _moore(machine: Machine, seed: Callable[[str], Hashable]):
-    """Coarsest congruence on the reachable states refining the seed key.
+def _minimize(machine: Machine) -> Machine:
+    """Coarsest congruence on the reachable states that respects the
+    observation, materialized with canonical names.
 
-    Classic partition refinement: split by the seed, then repeatedly split
-    by successor classes until stable.  Returns (class id per state,
-    representative state per class id).
+    Classic Moore partition refinement: split by the observation, then
+    repeatedly split by successor classes until stable.  One representative
+    per class supplies the transitions and the observation of the result.
     """
+    observe = _observer(machine)
     order = reachable_states(machine)
     alphabet = machine.alphabet
     delta = machine.transitions
-    classes = _index_by(order, seed)
+    classes = _index_by(order, observe)
     while True:
         refined = _index_by(
             order, lambda s: (classes[s], *(classes[delta[s, a]] for a in alphabet))
@@ -248,7 +276,12 @@ def _moore(machine: Machine, seed: Callable[[str], Hashable]):
     reps = {}
     for state in order:
         reps.setdefault(classes[state], state)
-    return classes, reps
+
+    def step(cls, letter):
+        return classes[delta[reps[cls], letter]]
+
+    explored = _explore(classes[machine.initial], alphabet, step)
+    return _build(type(machine), alphabet, explored, lambda cls: observe(reps[cls]))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -258,37 +291,13 @@ def minimize(dfa: Dfa) -> Dfa:
     themselves are fixed by breadth-first discovery order, so equal inputs
     always produce byte-identical results.
     """
-    classes, reps = _moore(dfa, lambda s: s in dfa.accepting)
-
-    def step(cls, letter):
-        return classes[dfa.transitions[reps[cls], letter]]
-
-    order, names, transitions = _explore(classes[dfa.initial], dfa.alphabet, step)
-    return Dfa(
-        alphabet=dfa.alphabet,
-        states=tuple(names[c] for c in order),
-        initial=names[classes[dfa.initial]],
-        accepting=frozenset(names[c] for c in order if reps[c] in dfa.accepting),
-        transitions=transitions,
-    )
+    return _minimize(dfa)
 
 
 def minimize_dfao(dfao: Dfao) -> Dfao:
     """Like :func:`minimize`, but states are split by output letter instead
     of acceptance."""
-    classes, reps = _moore(dfao, lambda s: dfao.outputs[s])
-
-    def step(cls, letter):
-        return classes[dfao.transitions[reps[cls], letter]]
-
-    order, names, transitions = _explore(classes[dfao.initial], dfao.alphabet, step)
-    return Dfao(
-        alphabet=dfao.alphabet,
-        states=tuple(names[c] for c in order),
-        initial=names[classes[dfao.initial]],
-        transitions=transitions,
-        outputs={names[c]: dfao.outputs[reps[c]] for c in order},
-    )
+    return _minimize(dfao)
 
 
 def _require_same_alphabet(m1: Machine, m2: Machine):
@@ -298,12 +307,39 @@ def _require_same_alphabet(m1: Machine, m2: Machine):
         )
 
 
-def _path(back: dict, node) -> str:
-    letters = []
-    while back[node] is not None:
-        node, letter = back[node]
-        letters.append(letter)
-    return "".join(reversed(letters))
+def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
+    """Shortest word leading from ``start`` under ``step`` to a node where
+    ``hit`` holds, or None.  Breadth-first search with back-pointers, letters
+    tried in alphabet order, so ties go to the alphabetically first word."""
+    back: dict = {start: None}
+    order = [start]
+    for node in order:
+        if hit(node):
+            letters = []
+            while back[node] is not None:
+                node, letter = back[node]
+                letters.append(letter)
+            return "".join(reversed(letters))
+        for letter in alphabet:
+            nxt = step(node, letter)
+            if nxt not in back:
+                back[nxt] = (node, letter)
+                order.append(nxt)
+    return None
+
+
+def _pairs(m1: Machine, m2: Machine):
+    """Start pair and step function of the product of two machines."""
+    _require_same_alphabet(m1, m2)
+    t1, t2 = m1.transitions, m2.transitions
+    return (m1.initial, m2.initial), lambda pair, letter: (t1[pair[0], letter], t2[pair[1], letter])
+
+
+def _distinguish(m1: Machine, m2: Machine) -> str | None:
+    """Shortest word after which the two machines observe differently."""
+    start, step = _pairs(m1, m2)
+    o1, o2 = _observer(m1), _observer(m2)
+    return _shortest(start, m1.alphabet, step, lambda pair: o1(pair[0]) != o2(pair[1]))
 
 
 def counterexample(d1: Dfa, d2: Dfa) -> str | None:
@@ -312,21 +348,7 @@ def counterexample(d1: Dfa, d2: Dfa) -> str | None:
     Breadth-first search of the product automaton, so the answer is exact;
     no sampling is involved.
     """
-    _require_same_alphabet(d1, d2)
-    start = (d1.initial, d2.initial)
-    back: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        s1, s2 = pair
-        if (s1 in d1.accepting) != (s2 in d2.accepting):
-            return _path(back, pair)
-        for letter in d1.alphabet:
-            nxt = (d1.transitions[s1, letter], d2.transitions[s2, letter])
-            if nxt not in back:
-                back[nxt] = (pair, letter)
-                queue.append(nxt)
-    return None
+    return _distinguish(d1, d2)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -335,46 +357,20 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 def dfao_counterexample(d1: Dfao, d2: Dfao) -> str | None:
     """Shortest word on which the two output machines disagree, or None."""
-    _require_same_alphabet(d1, d2)
-    start = (d1.initial, d2.initial)
-    back: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        s1, s2 = pair
-        if d1.outputs[s1] != d2.outputs[s2]:
-            return _path(back, pair)
-        for letter in d1.alphabet:
-            nxt = (d1.transitions[s1, letter], d2.transitions[s2, letter])
-            if nxt not in back:
-                back[nxt] = (pair, letter)
-                queue.append(nxt)
-    return None
+    return _distinguish(d1, d2)
 
 
 def dfao_equivalent(d1: Dfao, d2: Dfao) -> bool:
     return dfao_counterexample(d1, d2) is None
 
 
-def _product(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    _require_same_alphabet(d1, d2)
-    t1, t2 = d1.transitions, d2.transitions
-
-    def step(pair, letter):
-        return (t1[pair[0], letter], t2[pair[1], letter])
-
-    start = (d1.initial, d2.initial)
-    order, names, transitions = _explore(start, d1.alphabet, step)
-    accepting = frozenset(
-        names[p] for p in order if keep(p[0] in d1.accepting, p[1] in d2.accepting)
-    )
-    return Dfa(
-        alphabet=d1.alphabet,
-        states=tuple(names[p] for p in order),
-        initial=names[start],
-        accepting=accepting,
-        transitions=transitions,
-    )
+def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool]) -> Dfa:
+    """DFA on the reachable state pairs, accepting where ``keep`` holds for
+    the observations of the two machines."""
+    start, step = _pairs(m1, m2)
+    o1, o2 = _observer(m1), _observer(m2)
+    explored = _explore(start, m1.alphabet, step)
+    return _build(Dfa, m1.alphabet, explored, lambda pair: keep(o1(pair[0]), o2(pair[1])))
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:
@@ -395,18 +391,8 @@ def complement(dfa: Dfa) -> Dfa:
 
 def shortest_accepted(dfa: Dfa) -> str | None:
     """Shortest accepted word, or None for the empty language."""
-    back: dict = {dfa.initial: None}
-    queue = deque([dfa.initial])
-    while queue:
-        state = queue.popleft()
-        if state in dfa.accepting:
-            return _path(back, state)
-        for letter in dfa.alphabet:
-            nxt = dfa.transitions[state, letter]
-            if nxt not in back:
-                back[nxt] = (state, letter)
-                queue.append(nxt)
-    return None
+    delta = dfa.transitions
+    return _shortest(dfa.initial, dfa.alphabet, lambda s, a: delta[s, a], _observer(dfa))
 
 
 def is_empty(dfa: Dfa) -> bool:

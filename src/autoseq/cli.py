@@ -23,31 +23,20 @@ def _read_word(arg: str) -> str:
     return "" if arg == "Λ" else arg
 
 
-def _load_dfa(path) -> Dfa:
+# What each accepted combination of machine types is called in errors.
+_EXPECTED = {
+    (Dfa,): "a recognizer (type dfa)",
+    (Dfao,): "an output machine (type dfao)",
+    (tagsystem.TagSystem,): "a tag system (type tag)",
+    (Dfa, Dfao): "an automaton (type dfa or dfao)",
+}
+
+
+def _load(path, *kinds):
+    """The machine stored at ``path``, which must be one of ``kinds``."""
     machine = formats.load(path)
-    if not isinstance(machine, Dfa):
-        raise ValueError(f"{path}: expected a recognizer (type dfa)")
-    return machine
-
-
-def _load_dfao(path) -> Dfao:
-    machine = formats.load(path)
-    if not isinstance(machine, Dfao):
-        raise ValueError(f"{path}: expected an output machine (type dfao)")
-    return machine
-
-
-def _load_tag(path) -> tagsystem.TagSystem:
-    machine = formats.load(path)
-    if not isinstance(machine, tagsystem.TagSystem):
-        raise ValueError(f"{path}: expected a tag system (type tag)")
-    return machine
-
-
-def _load_automaton(path) -> Dfa | Dfao:
-    machine = formats.load(path)
-    if isinstance(machine, tagsystem.TagSystem):
-        raise ValueError(f"{path}: expected an automaton (type dfa or dfao)")
+    if not isinstance(machine, kinds):
+        raise ValueError(f"{path}: expected {_EXPECTED[kinds]}")
     return machine
 
 
@@ -67,26 +56,26 @@ def _print_values(values, oeis: bool):
 
 
 def cmd_seq(args) -> int:
-    dfa = _load_dfa(args.machine)
+    dfa = _load(args.machine, Dfa)
     _print_values(charseq.char_seq(dfa, args.count), args.oeis)
     return 0
 
 
 def cmd_run(args) -> int:
-    dfao = _load_dfao(args.machine)
+    dfao = _load(args.machine, Dfao)
     _print_values(charseq.output_seq(dfao, args.count), args.oeis)
     return 0
 
 
 def cmd_compile(args) -> int:
-    dfa = _load_dfa(args.machine)
+    dfa = _load(args.machine, Dfa)
     compiled = compiler.compile_dfa(dfa, minimize=not args.no_minimize)
     _emit(formats.dump(compiled), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    dfa = _load_dfa(args.machine)
+    dfa = _load(args.machine, Dfa)
     index = compiler.first_mismatch(dfa, args.count)
     if index is None:
         print(f"OK {args.count}")
@@ -96,7 +85,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dfa = _load_dfa(args.machine)
+    dfa = _load(args.machine, Dfa)
     ones, zeros = compiler.split_dfa(dfa)
     for machine, path, comment in (
         (ones, args.out_ones, "numerals of the 1-positions"),
@@ -110,52 +99,52 @@ def cmd_split(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    ones = _load_dfa(args.ones)
-    zeros = _load_dfa(args.zeros)
+    ones = _load(args.ones, Dfa)
+    zeros = _load(args.zeros, Dfa)
     _emit(formats.dump(compiler.glue(ones, zeros)), args.output)
     return 0
 
 
 def cmd_minimize(args) -> int:
-    machine = _load_automaton(args.machine)
+    machine = _load(args.machine, Dfa, Dfao)
     small = minimize(machine) if isinstance(machine, Dfa) else minimize_dfao(machine)
     _emit(formats.dump(small), args.output)
     return 0
 
 
 def cmd_residuals(args) -> int:
-    dfa = _load_dfa(args.machine)
+    dfa = _load(args.machine, Dfa)
     for residual in charseq.residuals(dfa):
         print(f"{_show_word(residual.witness)} {residual.state}")
     return 0
 
 
 def cmd_dot(args) -> int:
-    machine = _load_automaton(args.machine)
+    machine = _load(args.machine, Dfa, Dfao)
     _emit(formats.to_dot(machine), args.output)
     return 0
 
 
 def cmd_tag_from_dfao(args) -> int:
-    dfao = _load_dfao(args.machine)
+    dfao = _load(args.machine, Dfao)
     _emit(formats.dump(tagsystem.from_dfao(dfao)), args.output)
     return 0
 
 
 def cmd_tag_seq(args) -> int:
-    system = _load_tag(args.machine)
+    system = _load(args.machine, tagsystem.TagSystem)
     _print_values(tagsystem.seq(system, args.count), args.oeis)
     return 0
 
 
 def cmd_tag_intseq(args) -> int:
-    system = _load_tag(args.machine)
+    system = _load(args.machine, tagsystem.TagSystem)
     _print_values(tagsystem.intseq(system, args.count), args.oeis)
     return 0
 
 
 def cmd_tag_check(args) -> int:
-    system = _load_tag(args.machine)
+    system = _load(args.machine, tagsystem.TagSystem)
     if not tagsystem.is_fixed_point_prefix(system, args.depth):
         print(f"not a fixed point: substituting the first {args.depth} symbols diverges")
         return 2

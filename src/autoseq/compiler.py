@@ -19,7 +19,9 @@ from __future__ import annotations
 from .automata import (
     Dfa,
     Dfao,
+    _build,
     _explore,
+    _product,
     difference,
     intersection,
     minimize,
@@ -61,20 +63,13 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
             return (delta[on_n, first], delta[on_prev, second])
         return (delta[on_prev, second], delta[on_prev, first])
 
-    order, names, transitions = _explore(_ZERO, ("0", "1"), step)
-    accepting = dfa.accepting
-    outputs = {}
-    for raw in order:
+    def label(raw):
         tracked = start if raw is _ZERO else raw[0]
-        outputs[names[raw]] = "1" if tracked in accepting else "0"
-    compiled = Dfao(
-        alphabet=("0", "1"),
-        states=tuple(names[raw] for raw in order),
-        initial=names[_ZERO],
-        transitions=transitions,
-        outputs=outputs,
-    )
-    return compiled, {names[raw]: raw for raw in order}
+        return "1" if tracked in dfa.accepting else "0"
+
+    explored = _explore(_ZERO, ("0", "1"), step)
+    order, names, _ = explored
+    return _build(Dfao, ("0", "1"), explored, label), {names[raw]: raw for raw in order}
 
 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
@@ -103,25 +98,7 @@ def canonical_recognizer() -> Dfa:
 
 
 def _filter_by_output(compiled: Dfao, letter: str) -> Dfa:
-    canon = canonical_recognizer()
-
-    def step(pair, digit):
-        return (compiled.transitions[pair[0], digit], canon.transitions[pair[1], digit])
-
-    startpair = (compiled.initial, canon.initial)
-    order, names, transitions = _explore(startpair, compiled.alphabet, step)
-    accepting = frozenset(
-        names[p]
-        for p in order
-        if compiled.outputs[p[0]] == letter and p[1] in canon.accepting
-    )
-    return Dfa(
-        alphabet=compiled.alphabet,
-        states=tuple(names[p] for p in order),
-        initial=names[startpair],
-        accepting=accepting,
-        transitions=transitions,
-    )
+    return _product(compiled, canonical_recognizer(), lambda out, canonical: out == letter and canonical)
 
 
 def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
@@ -186,9 +163,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             return startpair
         return (ones.transitions[pair[0], digit], zeros.transitions[pair[1], digit])
 
-    order, names, transitions = _explore(startpair, ("0", "1"), step)
-    outputs = {}
-    for pair in order:
+    def label(pair):
         in_ones = pair[0] in ones.accepting
         in_zeros = pair[1] in zeros.accepting
         if in_ones == in_zeros:
@@ -196,14 +171,9 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             raise RuntimeError(
                 f"product state {pair!r} is claimed by {'both sides' if in_ones else 'neither side'}"
             )
-        outputs[names[pair]] = "1" if in_ones else "0"
-    glued = Dfao(
-        alphabet=("0", "1"),
-        states=tuple(names[p] for p in order),
-        initial=names[startpair],
-        transitions=transitions,
-        outputs=outputs,
-    )
+        return "1" if in_ones else "0"
+
+    glued = _build(Dfao, ("0", "1"), _explore(startpair, ("0", "1"), step), label)
     return minimize_dfao(glued)
 
 

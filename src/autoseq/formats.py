@@ -148,7 +148,7 @@ def _parse_tag(rows, source: str) -> TagSystem:
         head, rest = tokens[0], tokens[1:]
         if head == "modulus":
             _single(seen, lineno, head, source)
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not rest[0].isdecimal():
                 raise FormatError("'modulus' takes one non-negative integer", source, lineno)
             modulus = int(rest[0])
         elif head == "symbols":
@@ -235,7 +235,10 @@ def _trans_lines(machine: Machine) -> list[str]:
 
 def load(path) -> Dfa | Dfao | TagSystem:
     """Parse the machine stored at ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", str(path)) from exc
     return parse(text, source=str(path))
 
 

@@ -248,3 +248,29 @@ def test_shortest_accepted(no_bb):
     assert is_empty(nothing)
     only_bb = replace(no_bb, accepting=frozenset({"bb"}))
     assert shortest_accepted(only_bb) == "bb"
+
+
+def first_in_shortlex(alphabet, predicate):
+    """Brute-force oracle: the first word of length at most 8, in shortlex
+    order, that satisfies ``predicate``, or None."""
+    words = words_in_order(alphabet, 2**9 - 1)  # every word of length <= 8
+    return next((word for word in words if predicate(word)), None)
+
+
+def test_shortest_words_match_a_brute_force_scan():
+    # At most 3 states per machine gives at most 9 product states, so every
+    # shortest witness has at most 8 letters and the scan is exhaustive.
+    rng = random.Random(404)
+    found = set()
+    for _ in range(150):
+        d1, d2 = random_dfa(rng, max_states=3), random_dfa(rng, max_states=3)
+        m1, m2 = random_dfao(rng, max_states=3), random_dfao(rng, max_states=3)
+        cases = (
+            (shortest_accepted(d1), d1.alphabet, lambda w: accepts(d1, w)),
+            (counterexample(d1, d2), d1.alphabet, lambda w: accepts(d1, w) != accepts(d2, w)),
+            (dfao_counterexample(m1, m2), m1.alphabet, lambda w: output(m1, w) != output(m2, w)),
+        )
+        for got, alphabet, predicate in cases:
+            assert got == first_in_shortlex(alphabet, predicate)
+            found.add(got is None)
+    assert found == {True, False}

@@ -12,6 +12,7 @@ from autoseq import (
     compile_dfa,
     compile_dfa_with_pairs,
     dfao_equivalent,
+    dump,
     equivalent,
     first_mismatch,
     glue,
@@ -26,6 +27,77 @@ from autoseq import (
     union,
 )
 from conftest import NO_BB_PREFIX, random_dfa
+
+
+# Exact dumps for no_bb: minimized machines are named q0, q1, ... in
+# breadth-first order, so these texts are part of the contract.
+NO_BB_COMPILED = """\
+type dfao
+alphabet 0 1
+states q0 q1 q2 q3 q4 q5 q6
+initial q0
+outputs q0=1 q1=1 q2=1 q3=0 q4=1 q5=0 q6=0
+trans q0 0 q0
+trans q0 1 q1
+trans q1 0 q1
+trans q1 1 q2
+trans q2 0 q3
+trans q2 1 q4
+trans q3 0 q1
+trans q3 1 q5
+trans q4 0 q6
+trans q4 1 q4
+trans q5 0 q3
+trans q5 1 q6
+trans q6 0 q6
+trans q6 1 q6
+"""
+
+NO_BB_ONES = """\
+type dfa
+alphabet 0 1
+states q0 q1 q2 q3 q4 q5 q6
+initial q0
+accepting q0 q2 q3 q5
+trans q0 0 q1
+trans q0 1 q2
+trans q1 0 q1
+trans q1 1 q1
+trans q2 0 q2
+trans q2 1 q3
+trans q3 0 q4
+trans q3 1 q5
+trans q4 0 q2
+trans q4 1 q6
+trans q5 0 q1
+trans q5 1 q5
+trans q6 0 q4
+trans q6 1 q1
+"""
+
+NO_BB_ZEROS = """\
+type dfa
+alphabet 0 1
+states q0 q1 q2 q3 q4 q5 q6 q7
+initial q0
+accepting q4 q6 q7
+trans q0 0 q1
+trans q0 1 q2
+trans q1 0 q1
+trans q1 1 q1
+trans q2 0 q2
+trans q2 1 q3
+trans q3 0 q4
+trans q3 1 q5
+trans q4 0 q2
+trans q4 1 q6
+trans q5 0 q7
+trans q5 1 q5
+trans q6 0 q4
+trans q6 1 q7
+trans q7 0 q7
+trans q7 1 q7
+"""
 
 
 def test_compile_reproduces_the_sequence(no_bb):
@@ -117,6 +189,14 @@ def test_split_matches_the_checked_in_machines(no_bb, no_bb_ones, no_bb_zeros):
     assert accepts(zeros, "110")
     assert not accepts(ones, "0110")  # non-canonical numerals belong to neither
     assert not accepts(zeros, "0110")
+
+
+def test_constructions_dump_canonical_names(no_bb):
+    ones, zeros = split_dfa(no_bb)
+    assert dump(compile_dfa(no_bb)) == NO_BB_COMPILED
+    assert dump(ones) == NO_BB_ONES
+    assert dump(zeros) == NO_BB_ZEROS
+    assert dump(glue(ones, zeros)) == NO_BB_COMPILED
 
 
 def test_split_is_a_partition_of_the_canonical_numerals():

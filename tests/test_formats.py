@@ -183,6 +183,9 @@ def test_parse_tag_errors():
             "morph p -> p p\nmorph p -> p p\ncode p=1\n"
         )
     assert "duplicate rule" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse("type tag\nmodulus \u00b2\n", source="sup.tag")  # a digit to isdigit, not to int
+    assert str(err.value).startswith("sup.tag:2:")
 
 
 def test_parse_tag_wraps_validation_problems():
@@ -196,6 +199,15 @@ def test_parse_tag_wraps_validation_problems():
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load(tmp_path / "nope.aut")
+
+
+def test_load_names_the_file_on_a_decode_error(tmp_path):
+    path = tmp_path / "latin1.aut"
+    path.write_bytes(b"type dfa\n# caf\xe9\n")
+    with pytest.raises(FormatError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert "UTF-8" in str(err.value)
 
 
 def test_save_then_load(tmp_path, no_bb, no_bb_tag):
