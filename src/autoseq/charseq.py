@@ -2,17 +2,24 @@
 
 For a language L over a two-letter alphabet, entry n of the characteristic
 sequence is 1 exactly when the n-th word in shortlex order belongs to L.
-Everything here evaluates that definition directly on a recognizer, one
-word at a time; it is the slow, obviously-correct reference against which
-the compiled machines are checked.
+:func:`char_seq` evaluates that definition directly on a recognizer, one
+word at a time: it lists the words of each length in dictionary order and
+runs every one from the initial state.  It is the slow, obviously-correct
+reference against which the compiled machines are checked, so it shares
+no work between words and none of the compiler's index arithmetic.
+
+:func:`output_seq` runs a digit-reading machine on every index at once:
+the state after the numeral of n is the successor of the state of
+floor(n / k) on the last digit, so each entry costs O(1).
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, accepts, minimize, output
-from .numeration import _DIGITS, shortlex_word, to_digits
+from .automata import Dfa, Dfao, accepts, minimize
+from .numeration import _DIGITS
 
 
 def char_bit(dfa: Dfa, word: str) -> int:
@@ -23,8 +30,9 @@ def char_bit(dfa: Dfa, word: str) -> int:
 def char_seq(dfa: Dfa, count: int) -> list[int]:
     """First ``count`` entries of the characteristic sequence of L(dfa).
 
-    Each entry is recomputed from its shortlex word, so memory stays
-    logarithmic in the index no matter how far the sequence is taken.
+    Words come length by length in dictionary order, and each one is run
+    from the initial state on its own: a word of length L costs L
+    transitions, with no work shared between words.
     """
     if len(dfa.alphabet) != 2:
         raise ValueError(
@@ -32,14 +40,34 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
         )
     if not isinstance(count, int) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    alphabet = dfa.alphabet
-    return [char_bit(dfa, shortlex_word(n, alphabet)) for n in range(count)]
+    delta = dfa.transitions
+    succ = {
+        state: {letter: delta[state, letter] for letter in dfa.alphabet} for state in dfa.states
+    }
+    initial, accepting = dfa.initial, dfa.accepting
+    bits = []
+    length = 0
+    while len(bits) < count:
+        for word in islice(product(dfa.alphabet, repeat=length), count - len(bits)):
+            state = initial
+            for letter in word:
+                state = succ[state][letter]
+            bits.append(1 if state in accepting else 0)
+        length += 1
+    return bits
 
 
 def output_seq(dfao: Dfao, count: int) -> list[str]:
     """First ``count`` outputs of a digit-reading machine: entry n is the
     output after reading the canonical numeral of n (most significant digit
-    first, empty numeral for 0)."""
+    first, empty numeral for 0).
+
+    The states are unfolded level by level: the states of the (L+1)-digit
+    numerals are the successor tuples of the L-digit ones, concatenated in
+    order.  At the root digit 0 is skipped, since no canonical numeral
+    starts with it, so the initial state needs no 0-self-loop.  Each entry
+    costs O(1), and the state list takes O(count) memory.
+    """
     base = len(dfao.alphabet)
     if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
         raise ValueError(
@@ -48,7 +76,17 @@ def output_seq(dfao: Dfao, count: int) -> list[str]:
         )
     if not isinstance(count, int) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    return [output(dfao, to_digits(n, base)) for n in range(count)]
+    delta = dfao.transitions
+    succ = {state: tuple(delta[state, digit] for digit in dfao.alphabet) for state in dfao.states}
+    # states[n] for n < base; from then on states[n * base + d] = succ[states[n]][d]
+    states = [dfao.initial, *succ[dfao.initial][1:]]
+    read = 1
+    while len(states) < count:
+        stop = min(len(states), -(-count // base))
+        states.extend(chain.from_iterable(map(succ.__getitem__, states[read:stop])))
+        read = stop
+    del states[count:]
+    return list(map(dfao.outputs.__getitem__, states))
 
 
 class Residual(NamedTuple):

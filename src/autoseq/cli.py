@@ -48,16 +48,16 @@ def _emit(text: str, path):
 
 
 def _print_values(values, oeis: bool):
+    """Print string ``values`` on one line, or one ``n value`` pair per line."""
     if oeis:
-        for n, value in enumerate(values):
-            print(n, value)
+        sys.stdout.write("".join(f"{n} {value}\n" for n, value in enumerate(values)))
     else:
-        print(" ".join(str(v) for v in values))
+        print(" ".join(values))
 
 
 def cmd_seq(args) -> int:
     dfa = _load(args.machine, Dfa)
-    _print_values(charseq.char_seq(dfa, args.count), args.oeis)
+    _print_values(map(str, charseq.char_seq(dfa, args.count)), args.oeis)
     return 0
 
 
@@ -80,7 +80,9 @@ def cmd_verify(args) -> int:
     if index is None:
         print(f"OK {args.count}")
         return 0
-    print(f"mismatch at index {index}")
+    word = _show_word(numeration.shortlex_word(index, dfa.alphabet))
+    numeral = _show_word(numeration.to_digits(index, 2))
+    print(f"mismatch at index {index} (word {word}, numeral {numeral})")
     return 2
 
 

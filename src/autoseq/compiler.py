@@ -181,6 +181,8 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     """Index of the first disagreement between the compiled machine and the
     word-by-word characteristic sequence, or None if the first ``count``
     entries agree."""
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     compiled = compile_dfa(dfa)
     got = output_seq(compiled, count)
     want = char_seq(dfa, count)

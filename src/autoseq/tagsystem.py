@@ -12,6 +12,7 @@ exposed so they can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .automata import Dfao, _token_problem
@@ -133,17 +134,19 @@ def from_dfao(dfao: Dfao) -> TagSystem:
 
 def intseq(system: TagSystem, count: int) -> list[str]:
     """First ``count`` symbols of the fixed point, generated online: keep
-    substituting the symbol at the read position and appending its image."""
+    substituting the symbols from the read position on, a block at a time,
+    and appending their images."""
     if not isinstance(count, int) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    if count == 0:
-        return []
-    fixed = list(system.rules[system.start])
+    rules = system.rules
+    fixed = list(rules[system.start])
     read = 1
     while len(fixed) < count:
-        fixed.extend(system.rules[fixed[read]])
-        read += 1
-    return fixed[:count]
+        stop = min(len(fixed), -(-count // system.modulus))
+        fixed.extend(chain.from_iterable(map(rules.__getitem__, fixed[read:stop])))
+        read = stop
+    del fixed[count:]
+    return fixed
 
 
 def intseq_term(system: TagSystem, n: int) -> str:
@@ -163,7 +166,7 @@ def intseq_term(system: TagSystem, n: int) -> str:
 
 def seq(system: TagSystem, count: int) -> list[str]:
     """First ``count`` letters of the coded fixed point."""
-    return [system.coding[symbol] for symbol in intseq(system, count)]
+    return list(map(system.coding.__getitem__, intseq(system, count)))
 
 
 def is_fixed_point_prefix(system: TagSystem, depth: int) -> bool:

@@ -10,16 +10,20 @@ from autoseq import (
     char_seq,
     counterexample,
     minimize,
+    output,
     output_seq,
     residual_bit,
     residuals,
     run,
+    shortlex_word,
+    to_digits,
 )
 from conftest import (
     NO_BB_PREFIX,
     PAPERFOLD_PREFIX,
     THUE_MORSE_PREFIX,
     random_dfa,
+    random_dfao,
     words_in_order,
 )
 
@@ -60,10 +64,39 @@ def test_char_seq_against_enumeration_oracle(no_bb):
         assert char_seq(dfa, 600) == expected
 
 
+def test_char_seq_matches_the_shortlex_arithmetic():
+    # independent of the dictionary-order enumeration char_seq walks: the
+    # n-th word comes from the bijective base-2 arithmetic in numeration
+    rng = random.Random(808)
+    for alphabet in (("b", "a"), ("x", "y")):
+        for _ in range(15):
+            dfa = random_dfa(rng, alphabet=alphabet)
+            expected = [1 if accepts(dfa, shortlex_word(n, alphabet)) else 0 for n in range(700)]
+            for count in (0, 1, 2, 3, 6, 7, 700):
+                assert char_seq(dfa, count) == expected[:count]
+
+
 def test_output_seq_prefixes(thue_morse, paperfold, no_bb_fao):
     assert output_seq(thue_morse, 25) == [str(b) for b in THUE_MORSE_PREFIX]
     assert output_seq(paperfold, 24) == [str(b) for b in PAPERFOLD_PREFIX]
     assert output_seq(no_bb_fao, 25) == [str(b) for b in NO_BB_PREFIX]
+
+
+def test_output_seq_matches_the_per_index_definition():
+    # the initial state never loops on digit 0, so the root of the
+    # unfolding must skip that digit to stay with canonical numerals
+    rng = random.Random(707)
+    for base in range(2, 11):
+        digits = tuple("0123456789"[:base])
+        machines = []
+        while len(machines) < 6:
+            dfao = random_dfao(rng, alphabet=digits, letters=("x", "y", "z"))
+            if dfao.transitions[dfao.initial, "0"] != dfao.initial:
+                machines.append(dfao)
+        for dfao in machines:
+            expected = [output(dfao, to_digits(n, base)) for n in range(700)]
+            for count in (0, 1, base - 1, base, base + 1, base * base, base * base + 1, 700):
+                assert output_seq(dfao, count) == expected[:count], (base, count)
 
 
 def test_output_seq_requires_digit_alphabet(no_bb):

@@ -20,6 +20,10 @@ def test_seq(capsys):
 def test_seq_oeis(capsys):
     assert main(["seq", NO_BB, "--count", "3", "--oeis"]) == 0
     assert capsys.readouterr().out == "0 1\n1 1\n2 1\n"
+    assert main(["run", THUE_MORSE, "--count", "40"]) == 0
+    values = capsys.readouterr().out.split()
+    assert main(["run", THUE_MORSE, "--count", "40", "--oeis"]) == 0
+    assert capsys.readouterr().out == "".join(f"{n} {v}\n" for n, v in enumerate(values))
 
 
 def test_run(capsys):
@@ -61,7 +65,19 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     # sound inputs never reach this branch, so force it
     monkeypatch.setattr("autoseq.cli.compiler.first_mismatch", lambda dfa, count: 17)
     assert main(["verify", NO_BB, "--count", "100"]) == 2
-    assert "mismatch at index 17" in capsys.readouterr().out
+    assert "mismatch at index 17 (word aaba, numeral 10001)" in capsys.readouterr().out
+    monkeypatch.setattr("autoseq.cli.compiler.first_mismatch", lambda dfa, count: 0)
+    assert main(["verify", NO_BB, "--count", "100"]) == 2
+    assert "mismatch at index 0 (word Λ, numeral Λ)" in capsys.readouterr().out
+
+
+def test_verify_checks_the_count_before_compiling(capsys, monkeypatch):
+    def compile_dfa(dfa, minimize=True):
+        raise AssertionError("compiled before the count was checked")
+
+    monkeypatch.setattr("autoseq.compiler.compile_dfa", compile_dfa)
+    assert main(["verify", NO_BB, "--count", "-3"]) == 1
+    assert "count" in capsys.readouterr().err
 
 
 def test_split(tmp_path, no_bb_ones, no_bb_zeros):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from autoseq import (
     output_seq,
     seq,
 )
-from conftest import NO_BB_PREFIX, THUE_MORSE_PREFIX, random_dfa
+from conftest import NO_BB_PREFIX, THUE_MORSE_PREFIX, random_dfa, random_dfao
 
 # hand-applied substitution: q0 -> q0 q1 -> q0 q1 q1 q2 -> ...
 NO_BB_INTSEQ_16 = "q0 q1 q1 q2 q1 q2 q4 q3 q1 q2 q4 q3 q1 q5 q6 q3".split()
@@ -112,6 +113,21 @@ def test_intseq_agrees_with_digit_descent(no_bb_tag, thue_morse):
         prefix = intseq(system, 1 << 12)
         for n, symbol in enumerate(prefix):
             assert intseq_term(system, n) == symbol
+
+
+def test_intseq_agrees_with_digit_descent_at_every_count():
+    # every count up to k**3 + 2 ends the substitution at a different
+    # point inside a block or a level
+    rng = random.Random(909)
+    for modulus in range(2, 6):
+        for _ in range(5):
+            dfao = random_dfao(rng, alphabet=tuple("01234"[:modulus]))
+            loop = {(dfao.initial, "0"): dfao.initial}
+            system = from_dfao(replace(dfao, transitions={**dfao.transitions, **loop}))
+            last = modulus**3 + 2
+            terms = [intseq_term(system, n) for n in range(last)]
+            for count in range(last + 1):
+                assert intseq(system, count) == terms[:count], (modulus, count)
 
 
 def test_seq_prefixes(no_bb_tag, thue_morse):
