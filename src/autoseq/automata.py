@@ -99,6 +99,36 @@ def _token_problem(kind: str, value) -> str | None:
     return None
 
 
+def _id_problems(ids, kind: str, plural: str) -> list[str]:
+    """Problems with declared ids: none at all, bad tokens, duplicates."""
+    problems = [] if ids else [f"no {plural} declared"]
+    seen = set()
+    for name in ids:
+        bad = _token_problem(kind, name)
+        if bad:
+            problems.append(bad)
+        elif name in seen:
+            problems.append(f"duplicate {kind} {name!r}")
+        seen.add(name)
+    return problems
+
+
+def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
+    """Problems with a letter per id: undeclared ids, bad letters, missing ids."""
+    problems = []
+    declared = set(ids)
+    for name, letter in sorted(labels.items()):
+        if name not in declared:
+            problems.append(f"{what} for undeclared {owner} {name!r}")
+        bad = _token_problem(f"{what} letter", letter)
+        if bad:
+            problems.append(bad)
+    for name in ids:
+        if name not in labels:
+            problems.append(f"no {what} letter for {owner} {name!r}")
+    return problems
+
+
 def validate(machine: Machine) -> list[str]:
     """Every structural problem with the machine (empty list when sound)."""
     problems = []
@@ -115,17 +145,7 @@ def validate(machine: Machine) -> list[str]:
             problems.append(f"duplicate alphabet letter {letter!r}")
         seen.add(letter)
 
-    if not states:
-        problems.append("no states declared")
-    seen = set()
-    for state in states:
-        bad = _token_problem("state id", state)
-        if bad:
-            problems.append(bad)
-        elif state in seen:
-            problems.append(f"duplicate state id {state!r}")
-        seen.add(state)
-
+    problems += _id_problems(states, "state id", "states")
     declared = set(states)
     letters = set(alphabet)
     if machine.initial not in declared:
@@ -151,16 +171,7 @@ def validate(machine: Machine) -> list[str]:
 
     outputs = getattr(machine, "outputs", None)
     if outputs is not None:
-        for state, letter in sorted(outputs.items()):
-            if state not in declared:
-                problems.append(f"output for undeclared state {state!r}")
-            bad = _token_problem("output letter", letter)
-            if bad:
-                problems.append(bad)
-        for state in states:
-            if state not in outputs:
-                problems.append(f"no output letter for state {state!r}")
-
+        problems += _label_problems(outputs, states, "output", "state")
     return problems
 
 
@@ -186,17 +197,35 @@ def output(dfao: Dfao, word: str) -> str:
     return dfao.outputs[run(dfao, word)]
 
 
+def _walk(start: Hashable, alphabet, step, back: dict):
+    """Nodes reachable from ``start`` under ``step``, breadth-first with
+    letters in alphabet order; ``back`` gets a ``(parent, letter)`` pointer
+    per node (None at ``start``), from which :func:`_word` reads the
+    shortlex-least word reaching it."""
+    back[start] = None
+    order = [start]
+    for node in order:
+        yield node
+        for letter in alphabet:
+            nxt = step(node, letter)
+            if nxt not in back:
+                back[nxt] = (node, letter)
+                order.append(nxt)
+
+
+def _word(back: dict, node: Hashable) -> str:
+    """The word that led :func:`_walk` to ``node``."""
+    letters = []
+    while back[node] is not None:
+        node, letter = back[node]
+        letters.append(letter)
+    return "".join(reversed(letters))
+
+
 def reachable_states(machine: Machine) -> list[str]:
     """States reachable from the initial state, in breadth-first order."""
-    seen = {machine.initial}
-    order = [machine.initial]
-    for state in order:
-        for letter in machine.alphabet:
-            nxt = machine.transitions[state, letter]
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    return order
+    delta = machine.transitions
+    return list(_walk(machine.initial, machine.alphabet, lambda s, a: delta[s, a], {}))
 
 
 def _observer(machine: Machine) -> Callable[[str], Hashable]:
@@ -309,23 +338,10 @@ def _require_same_alphabet(m1: Machine, m2: Machine):
 
 def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
     """Shortest word leading from ``start`` under ``step`` to a node where
-    ``hit`` holds, or None.  Breadth-first search with back-pointers, letters
-    tried in alphabet order, so ties go to the alphabetically first word."""
-    back: dict = {start: None}
-    order = [start]
-    for node in order:
-        if hit(node):
-            letters = []
-            while back[node] is not None:
-                node, letter = back[node]
-                letters.append(letter)
-            return "".join(reversed(letters))
-        for letter in alphabet:
-            nxt = step(node, letter)
-            if nxt not in back:
-                back[nxt] = (node, letter)
-                order.append(nxt)
-    return None
+    ``hit`` holds, or None; ties go to the alphabetically first word."""
+    back: dict = {}
+    node = next(filter(hit, _walk(start, alphabet, step, back)), None)
+    return None if node is None else _word(back, node)
 
 
 def _pairs(m1: Machine, m2: Machine):

@@ -9,17 +9,17 @@ reference against which the compiled machines are checked, so it shares
 no work between words and none of the compiler's index arithmetic.
 
 :func:`output_seq` runs a digit-reading machine on every index at once:
-the state after the numeral of n is the successor of the state of
-floor(n / k) on the last digit, so each entry costs O(1).
+it is the coded unfolding of the machine's successor table (the state of
+n * k + d is the successor of the state of n on d), O(1) per entry.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, accepts, minimize
-from .numeration import _DIGITS
+from .automata import Dfa, Dfao, _walk, _word, accepts, minimize
+from .tagsystem import _digit_table, _unfold
 
 
 def char_bit(dfa: Dfa, word: str) -> int:
@@ -62,31 +62,12 @@ def output_seq(dfao: Dfao, count: int) -> list[str]:
     output after reading the canonical numeral of n (most significant digit
     first, empty numeral for 0).
 
-    The states are unfolded level by level: the states of the (L+1)-digit
-    numerals are the successor tuples of the L-digit ones, concatenated in
-    order.  At the root digit 0 is skipped, since no canonical numeral
-    starts with it, so the initial state needs no 0-self-loop.  Each entry
-    costs O(1), and the state list takes O(count) memory.
+    This is the coded unfolding of the successor table (see ``tagsystem``).
+    The root skips digit 0, so the initial state needs no 0-self-loop.
+    Each entry costs O(1), and the state list O(count) memory.
     """
-    base = len(dfao.alphabet)
-    if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
-        raise ValueError(
-            f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order, "
-            f"got {' '.join(dfao.alphabet)!r}"
-        )
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    delta = dfao.transitions
-    succ = {state: tuple(delta[state, digit] for digit in dfao.alphabet) for state in dfao.states}
-    # states[n] for n < base; from then on states[n * base + d] = succ[states[n]][d]
-    states = [dfao.initial, *succ[dfao.initial][1:]]
-    read = 1
-    while len(states) < count:
-        stop = min(len(states), -(-count // base))
-        states.extend(chain.from_iterable(map(succ.__getitem__, states[read:stop])))
-        read = stop
-    del states[count:]
-    return list(map(dfao.outputs.__getitem__, states))
+    table = _digit_table(dfao)
+    return list(map(dfao.outputs.__getitem__, _unfold(table, dfao.initial, count)))
 
 
 class Residual(NamedTuple):
@@ -105,15 +86,10 @@ def residuals(dfa: Dfa) -> list[Residual]:
     breadth-first order; the first witness is always the empty word.
     """
     small = minimize(dfa)
-    witness = {small.initial: ""}
-    order = [small.initial]
-    for state in order:
-        for letter in small.alphabet:
-            nxt = small.transitions[state, letter]
-            if nxt not in witness:
-                witness[nxt] = witness[state] + letter
-                order.append(nxt)
-    return [Residual(witness[state], state) for state in order]
+    delta = small.transitions
+    back: dict = {}
+    order = list(_walk(small.initial, small.alphabet, lambda s, a: delta[s, a], back))
+    return [Residual(_word(back, state), state) for state in order]
 
 
 def residual_bit(dfa: Dfa, prefix: str, word: str) -> int:

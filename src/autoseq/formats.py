@@ -55,6 +55,17 @@ def _single(seen: dict, lineno, head, source):
     seen[head] = lineno
 
 
+def _labels(tokens, labels: dict, what: str, owner: str, source, lineno):
+    """Read ``name=letter`` tokens into ``labels``."""
+    for token in tokens:
+        name, sep, letter = token.partition("=")
+        if not sep or not name or not letter:
+            raise FormatError(f"malformed {what} {token!r}, expected {owner}=letter", source, lineno)
+        if name in labels:
+            raise FormatError(f"duplicate {what} for {owner} {name!r}", source, lineno)
+        labels[name] = letter
+
+
 def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
     seen: dict = {}
     alphabet = states = initial = accepting = None
@@ -84,13 +95,7 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
             if kind != "dfao":
                 raise FormatError("'outputs' only belongs in a dfao", source, lineno)
             _single(seen, lineno, head, source)
-            for token in rest:
-                state, sep, letter = token.partition("=")
-                if not sep or not state or not letter:
-                    raise FormatError(f"malformed output {token!r}, expected state=letter", source, lineno)
-                if state in outputs:
-                    raise FormatError(f"duplicate output for state {state!r}", source, lineno)
-                outputs[state] = letter
+            _labels(rest, outputs, "output", "state", source, lineno)
         elif head == "trans":
             if len(rest) != 3:
                 raise FormatError("'trans' takes: source letter target", source, lineno)
@@ -167,13 +172,7 @@ def _parse_tag(rows, source: str) -> TagSystem:
                 raise FormatError(f"duplicate rule for symbol {symbol!r}", source, lineno)
             rules[symbol] = image
         elif head == "code":
-            for token in rest:
-                symbol, sep, letter = token.partition("=")
-                if not sep or not symbol or not letter:
-                    raise FormatError(f"malformed coding {token!r}, expected symbol=letter", source, lineno)
-                if symbol in coding:
-                    raise FormatError(f"duplicate coding for symbol {symbol!r}", source, lineno)
-                coding[symbol] = letter
+            _labels(rest, coding, "coding", "symbol", source, lineno)
         else:
             raise FormatError(f"unknown directive {head!r}", source, lineno)
 

@@ -5,8 +5,10 @@ When the rule for the start symbol begins with the start symbol itself, the
 substitution can be iterated from that symbol forever and converges to an
 infinite fixed point; applying the coding letterwise yields the output
 sequence.  Entry n of the fixed point can also be computed directly by
-walking the base-k digits of n through the rules, and both routes are
-exposed so they can be checked against each other.
+walking the base-k digits of n through the rules; both routes are exposed
+so they can be checked against each other.  A digit machine's successor
+table is such a substitution (:func:`from_dfao`), and
+``charseq.output_seq`` is the coded unfolding of that table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .automata import Dfao, _token_problem
+from .automata import Dfao, _id_problems, _label_problems
 from .numeration import _DIGITS
 
 
@@ -54,16 +56,7 @@ class TagSystem:
         problems = []
         if not isinstance(self.modulus, int) or self.modulus < 2:
             problems.append(f"modulus must be an integer >= 2, got {self.modulus!r}")
-        if not self.symbols:
-            problems.append("no symbols declared")
-        seen = set()
-        for symbol in self.symbols:
-            bad = _token_problem("symbol", symbol)
-            if bad:
-                problems.append(bad)
-            elif symbol in seen:
-                problems.append(f"duplicate symbol {symbol!r}")
-            seen.add(symbol)
+        problems += _id_problems(self.symbols, "symbol", "symbols")
         declared = set(self.symbols)
         if self.start not in declared:
             problems.append(f"start symbol {self.start!r} is not declared")
@@ -82,15 +75,7 @@ class TagSystem:
             if symbol not in self.rules:
                 problems.append(f"no rule for symbol {symbol!r}")
 
-        for symbol, letter in sorted(self.coding.items()):
-            if symbol not in declared:
-                problems.append(f"coding for undeclared symbol {symbol!r}")
-            bad = _token_problem("coding letter", letter)
-            if bad:
-                problems.append(bad)
-        for symbol in self.symbols:
-            if symbol not in self.coding:
-                problems.append(f"no coding letter for symbol {symbol!r}")
+        problems += _label_problems(self.coding, self.symbols, "coding", "symbol")
 
         if not problems and self.rules[self.start][0] != self.start:
             problems.append(
@@ -98,6 +83,35 @@ class TagSystem:
                 f"got {self.start!r} -> {' '.join(self.rules[self.start])!r}"
             )
         return problems
+
+
+def _digit_table(dfao: Dfao) -> dict[str, tuple[str, ...]]:
+    """Successors of every state on the digits 0..k-1, which must be the alphabet."""
+    base = len(dfao.alphabet)
+    if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
+        raise ValueError(
+            f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order, "
+            f"got {' '.join(dfao.alphabet)!r}"
+        )
+    delta = dfao.transitions
+    return {state: tuple(delta[state, digit] for digit in dfao.alphabet) for state in dfao.states}
+
+
+def _unfold(table: Mapping[str, tuple[str, ...]], start: str, count: int) -> list[str]:
+    """First ``count`` states reached from ``start`` by the numerals 0, 1,
+    2, ...: entry n * k + d is ``table[entry n][d]``, filled a block at a
+    time.  The root skips digit 0, as canonical numerals do."""
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    base = len(table[start])
+    states = [start, *table[start][1:]]
+    read = 1
+    while len(states) < count:
+        stop = min(len(states), -(-count // base))
+        states.extend(chain.from_iterable(map(table.__getitem__, states[read:stop])))
+        read = stop
+    del states[count:]
+    return states
 
 
 def from_dfao(dfao: Dfao) -> TagSystem:
@@ -109,44 +123,19 @@ def from_dfao(dfao: Dfao) -> TagSystem:
     that loop is exactly what makes the substitution prolongable, and it
     also means leading zeros never change the machine's answer.
     """
-    base = len(dfao.alphabet)
-    if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
-        raise ValueError(
-            f"need a machine over the digit alphabet 0..k-1, got {' '.join(dfao.alphabet)!r}"
-        )
-    if dfao.transitions[dfao.initial, "0"] != dfao.initial:
+    rules = _digit_table(dfao)
+    if rules[dfao.initial][0] != dfao.initial:
         raise ValueError(
             f"the initial state {dfao.initial!r} has no self-loop on digit 0, "
             f"so the substitution would not be prolongable"
         )
-    rules = {
-        state: tuple(dfao.transitions[state, digit] for digit in dfao.alphabet)
-        for state in dfao.states
-    }
-    return TagSystem(
-        modulus=base,
-        symbols=dfao.states,
-        start=dfao.initial,
-        rules=rules,
-        coding=dict(dfao.outputs),
-    )
+    return TagSystem(len(dfao.alphabet), dfao.states, dfao.initial, rules, dfao.outputs)
 
 
 def intseq(system: TagSystem, count: int) -> list[str]:
-    """First ``count`` symbols of the fixed point, generated online: keep
-    substituting the symbols from the read position on, a block at a time,
-    and appending their images."""
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    rules = system.rules
-    fixed = list(rules[system.start])
-    read = 1
-    while len(fixed) < count:
-        stop = min(len(fixed), -(-count // system.modulus))
-        fixed.extend(chain.from_iterable(map(rules.__getitem__, fixed[read:stop])))
-        read = stop
-    del fixed[count:]
-    return fixed
+    """First ``count`` symbols of the fixed point, unfolded from the start
+    symbol (whose rule begins with itself, so the root loses nothing)."""
+    return _unfold(system.rules, system.start, count)
 
 
 def intseq_term(system: TagSystem, n: int) -> str:
@@ -174,6 +163,5 @@ def is_fixed_point_prefix(system: TagSystem, depth: int) -> bool:
     fixed point reproduces its first modulus * depth symbols."""
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
-    prefix = intseq(system, depth)
-    image = [target for symbol in prefix for target in system.rules[symbol]]
-    return image == intseq(system, system.modulus * depth)
+    fixed = intseq(system, system.modulus * depth)
+    return fixed == [target for symbol in fixed[:depth] for target in system.rules[symbol]]

@@ -19,6 +19,7 @@ from autoseq import (
     minimize,
     minimize_dfao,
     output,
+    residuals,
     run,
     shortest_accepted,
     union,
@@ -273,4 +274,14 @@ def test_shortest_words_match_a_brute_force_scan():
         for got, alphabet, predicate in cases:
             assert got == first_in_shortlex(alphabet, predicate)
             found.add(got is None)
+        # breadth-first order is the order in which the scan first reaches
+        # each state, and every residual witness is that first word
+        for machine in (d1, d2, m1, m2):
+            first = {}
+            for word in words_in_order(machine.alphabet, 2**9 - 1):
+                first.setdefault(run(machine, word), word)
+            assert reachable_states(machine) == list(first)
+        small = minimize(d1)
+        for witness, state in residuals(d1):
+            assert witness == first_in_shortlex(small.alphabet, lambda w: run(small, w) == state)
     assert found == {True, False}

@@ -101,7 +101,7 @@ def test_output_seq_matches_the_per_index_definition():
 
 def test_output_seq_requires_digit_alphabet(no_bb):
     # a machine over a, b is not a numeral reader
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need the digit alphabet 0\.\.1 in order, got 'a b'$"):
         output_seq(no_bb, 4)
 
 

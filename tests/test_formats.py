@@ -6,6 +6,8 @@ from autoseq import (
     Dfa,
     Dfao,
     FormatError,
+    InvalidAutomatonError,
+    InvalidTagSystemError,
     TagSystem,
     accepts,
     dfao_equivalent,
@@ -194,6 +196,47 @@ def test_parse_tag_wraps_validation_problems():
         parse(text, source="bad.tag")
     assert "no rule for symbol 'q'" in str(err.value)
     assert str(err.value).startswith("bad.tag:")
+
+
+def test_id_and_label_messages_are_pinned():
+    # state ids and symbols share one set of checks, outputs and codings
+    # another; every message must stay word for word what it was
+    token = "must be a nonempty token without whitespace, '#' or '='"
+    states = ("s", "t", "s", "x=y")
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfao(("0",), states, "s", {(q, "0"): "s" for q in states}, {"s": "1", "u": "2", "x=y": "a b"})
+    assert err.value.problems == [
+        "duplicate state id 's'",
+        f"state id 'x=y' {token}",
+        "output for undeclared state 'u'",
+        f"output letter 'a b' {token}",
+        "no output letter for state 't'",
+    ]
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfao(("0",), (), "s", {}, {})
+    assert err.value.problems == ["no states declared", "initial state 's' is not declared"]
+    rules = {"p": ("p", "q"), "q": ("q", "p"), "x=y": ("p", "p")}
+    with pytest.raises(InvalidTagSystemError) as err:
+        TagSystem(2, ("p", "q", "p", "x=y"), "p", rules, {"p": "1", "u": "2", "x=y": "a b"})
+    assert err.value.problems == [
+        "duplicate symbol 'p'",
+        f"symbol 'x=y' {token}",
+        "coding for undeclared symbol 'u'",
+        f"coding letter 'a b' {token}",
+        "no coding letter for symbol 'q'",
+    ]
+    with pytest.raises(InvalidTagSystemError) as err:
+        TagSystem(2, (), "p", {}, {})
+    assert err.value.problems == ["no symbols declared", "start symbol 'p' is not declared"]
+    for text, source, message in (
+        ("type dfao\noutputs s\n", "f.aut", "f.aut:2: malformed output 's', expected state=letter"),
+        ("type dfao\noutputs s=1 s=0\n", "f.aut", "f.aut:2: duplicate output for state 's'"),
+        ("type tag\ncode p\n", "f.tag", "f.tag:2: malformed coding 'p', expected symbol=letter"),
+        ("type tag\ncode p=1\ncode p=0\n", "f.tag", "f.tag:3: duplicate coding for symbol 'p'"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse(text, source=source)
+        assert str(err.value) == message
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

@@ -12,8 +12,10 @@ from autoseq import (
     intseq,
     intseq_term,
     is_fixed_point_prefix,
+    output,
     output_seq,
     seq,
+    to_digits,
 )
 from conftest import NO_BB_PREFIX, THUE_MORSE_PREFIX, random_dfa, random_dfao
 
@@ -50,7 +52,7 @@ def test_from_dfao_requires_a_zero_self_loop():
 
 
 def test_from_dfao_requires_digit_alphabet():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need the digit alphabet 0\.\.1 in order, got 'a b'$"):
         from_dfao(
             Dfao(
                 ("a", "b"),
@@ -138,6 +140,22 @@ def test_seq_prefixes(no_bb_tag, thue_morse):
 def test_seq_matches_the_machine_it_came_from(paperfold):
     system = from_dfao(paperfold)
     assert seq(system, 1 << 10) == output_seq(paperfold, 1 << 10)
+    # both callers of the one unfolding against the per-index definition, on
+    # machines whose initial state loops on digit 0 (so from_dfao applies)
+    rng = random.Random(818)
+    for base in range(2, 11):
+        digits = tuple("0123456789"[:base])
+        for _ in range(4):
+            dfao = random_dfao(rng, alphabet=digits, letters=("x", "y", "z"))
+            loop = {(dfao.initial, "0"): dfao.initial}
+            dfao = replace(dfao, transitions={**dfao.transitions, **loop})
+            system = from_dfao(dfao)
+            expected = [output(dfao, to_digits(n, base)) for n in range(700)]
+            for count in (0, 1, base - 1, base, base + 1, base * base, base * base + 1, 700):
+                want = expected[:count]
+                assert seq(system, count) == want, (base, count)
+                assert [system.coding[s] for s in intseq(system, count)] == want, (base, count)
+                assert output_seq(dfao, count) == want, (base, count)
 
 
 def test_fixed_point_prefixes(no_bb_tag, thue_morse):
