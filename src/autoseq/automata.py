@@ -5,12 +5,14 @@ letters.  Construction validates the whole structure once (including totality
 of the transition and output maps); after that every operation in this module
 is a pure function returning fresh machines, so values can be shared freely.
 
-A Dfa is a Dfao whose output is "accepting or not".  The algorithms see a
-state only through its observation (acceptance for a Dfa, the output letter
-for a Dfao), so each exists once for both kinds: one Moore refinement with
-canonical renaming minimizes, one breadth-first search with back-pointers
-finds shortest accepted words and shortest counterexamples, and one pair
-product builds the boolean operations.  Equivalence checks are exact: they
+A Dfa is a Dfao whose output is "accepting or not": both are one record
+but for that field.  The algorithms see a state only through its
+observation (acceptance for a Dfa, the output letter for a Dfao), so each
+exists once for both kinds.  One breadth-first walk both builds and
+searches: it builds every machine (Moore refinement, the pair products of
+the boolean operations, the compiler and glue), naming states q0, q1, ...
+in the order it reaches them, and its back-pointers give shortest accepted
+words and shortest counterexamples.  Equivalence checks are exact: they
 walk the product automaton and either prove the machines equal or return a
 shortest word witnessing the difference.
 """
@@ -29,8 +31,37 @@ class InvalidAutomatonError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class _AlphabetError(ValueError):
+    """``machine`` is not over the alphabet that an operation ``needs``."""
+
+    def __init__(self, machine, needs: str):
+        self.machine = machine
+        super().__init__(f"{needs}, got {' '.join(machine.alphabet)!r}")
+
+
+_CASTS = {"alphabet": tuple, "states": tuple, "accepting": frozenset, "transitions": dict, "outputs": dict}
+
+
 @dataclass(frozen=True)
-class Dfa:
+class _Automaton:
+    """What :class:`Dfa` and :class:`Dfao` share: the fields before their
+    observation, and construction that normalizes and validates every field."""
+
+    alphabet: tuple[str, ...]
+    states: tuple[str, ...]
+    initial: str
+
+    def __post_init__(self):
+        for name, cast in _CASTS.items():
+            if name in self.__dataclass_fields__:
+                object.__setattr__(self, name, cast(getattr(self, name)))
+        problems = validate(self)
+        if problems:
+            raise InvalidAutomatonError(problems)
+
+
+@dataclass(frozen=True)
+class Dfa(_Automaton):
     """Complete deterministic finite automaton.
 
     ``transitions`` must map every ``(state, letter)`` pair to a state;
@@ -38,44 +69,20 @@ class Dfa:
     dead state.
     """
 
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    initial: str
     accepting: frozenset[str]
     transitions: Mapping[tuple[str, str], str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        problems = validate(self)
-        if problems:
-            raise InvalidAutomatonError(problems)
-
 
 @dataclass(frozen=True)
-class Dfao:
+class Dfao(_Automaton):
     """Complete deterministic automaton with an output letter per state.
 
     The word ``w`` is mapped to ``outputs[run(self, w)]``; acceptance plays
     no role.
     """
 
-    alphabet: tuple[str, ...]
-    states: tuple[str, ...]
-    initial: str
     transitions: Mapping[tuple[str, str], str]
     outputs: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "outputs", dict(self.outputs))
-        problems = validate(self)
-        if problems:
-            raise InvalidAutomatonError(problems)
 
     @property
     def output_letters(self) -> tuple[str, ...]:
@@ -99,6 +106,15 @@ def _token_problem(kind: str, value) -> str | None:
     return None
 
 
+def _sorted(items) -> list:
+    """``items`` in order, or in ``repr`` order when they mix types that do
+    not compare, so that problem reports never fail on malformed input."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
+
+
 def _id_problems(ids, kind: str, plural: str) -> list[str]:
     """Problems with declared ids: none at all, bad tokens, duplicates."""
     problems = [] if ids else [f"no {plural} declared"]
@@ -117,7 +133,7 @@ def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
     """Problems with a letter per id: undeclared ids, bad letters, missing ids."""
     problems = []
     declared = set(ids)
-    for name, letter in sorted(labels.items()):
+    for name, letter in _sorted(labels.items()):
         if name not in declared:
             problems.append(f"{what} for undeclared {owner} {name!r}")
         bad = _token_problem(f"{what} letter", letter)
@@ -153,11 +169,11 @@ def validate(machine: Machine) -> list[str]:
 
     accepting = getattr(machine, "accepting", None)
     if accepting is not None:
-        for state in sorted(accepting):
+        for state in _sorted(accepting):
             if state not in declared:
                 problems.append(f"accepting state {state!r} is not declared")
 
-    for (state, letter), target in sorted(machine.transitions.items()):
+    for (state, letter), target in _sorted(machine.transitions.items()):
         if state not in declared:
             problems.append(f"transition from undeclared state {state!r}")
         elif letter not in letters:
@@ -237,37 +253,19 @@ def _observer(machine: Machine) -> Callable[[str], Hashable]:
     return machine.outputs.__getitem__
 
 
-def _explore(start: Hashable, alphabet, step, prefix: str = "q"):
-    """Materialize the machine reachable from ``start`` under ``step``.
-
-    States are renamed ``q0, q1, ...`` in breadth-first discovery order
-    (letters tried in alphabet order), which makes every construction built
-    on this helper deterministic.  Returns the raw states in discovery
-    order, the raw-to-name map, and the transition map over new names.
-    """
-    names = {start: f"{prefix}0"}
-    order = [start]
-    transitions = {}
-    for raw in order:
-        for letter in alphabet:
-            nxt = step(raw, letter)
-            if nxt not in names:
-                names[nxt] = f"{prefix}{len(names)}"
-                order.append(nxt)
-            transitions[names[raw], letter] = names[nxt]
-    return order, names, transitions
-
-
-def _build(kind: type, alphabet, explored, observe: Callable) -> Machine:
-    """Machine of ``kind`` from the result of :func:`_explore`; each state
-    observes ``observe(raw state)``, as acceptance or as output letter."""
-    order, names, transitions = explored
-    states = tuple(names[raw] for raw in order)
+def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
+    """Machine of ``kind`` on the nodes reachable from ``start`` under
+    ``step``, named ``q0, q1, ...`` in :func:`_walk` order, which makes every
+    construction built on this helper deterministic.  Each state observes
+    ``observe(node)``, as acceptance or as output letter."""
+    order = list(_walk(start, alphabet, step, {}))
+    names = {node: f"q{i}" for i, node in enumerate(order)}
+    states = tuple(names.values())
+    transitions = {(names[node], a): names[step(node, a)] for node in order for a in alphabet}
     if kind is Dfa:
-        accepting = frozenset(names[raw] for raw in order if observe(raw))
-        return Dfa(alphabet, states, states[0], accepting=accepting, transitions=transitions)
-    outputs = {names[raw]: observe(raw) for raw in order}
-    return Dfao(alphabet, states, states[0], transitions=transitions, outputs=outputs)
+        accepting = frozenset(names[node] for node in order if observe(node))
+        return Dfa(alphabet, states, states[0], accepting, transitions)
+    return Dfao(alphabet, states, states[0], transitions, {names[node]: observe(node) for node in order})
 
 
 def _index_by(order, key: Callable) -> dict:
@@ -309,8 +307,7 @@ def _minimize(machine: Machine) -> Machine:
     def step(cls, letter):
         return classes[delta[reps[cls], letter]]
 
-    explored = _explore(classes[machine.initial], alphabet, step)
-    return _build(type(machine), alphabet, explored, lambda cls: observe(reps[cls]))
+    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -329,13 +326,6 @@ def minimize_dfao(dfao: Dfao) -> Dfao:
     return _minimize(dfao)
 
 
-def _require_same_alphabet(m1: Machine, m2: Machine):
-    if tuple(m1.alphabet) != tuple(m2.alphabet):
-        raise ValueError(
-            f"alphabet mismatch: {' '.join(m1.alphabet)!r} vs {' '.join(m2.alphabet)!r}"
-        )
-
-
 def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
     """Shortest word leading from ``start`` under ``step`` to a node where
     ``hit`` holds, or None; ties go to the alphabetically first word."""
@@ -346,7 +336,10 @@ def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
 
 def _pairs(m1: Machine, m2: Machine):
     """Start pair and step function of the product of two machines."""
-    _require_same_alphabet(m1, m2)
+    if tuple(m1.alphabet) != tuple(m2.alphabet):
+        raise ValueError(
+            f"alphabet mismatch: {' '.join(m1.alphabet)!r} vs {' '.join(m2.alphabet)!r}"
+        )
     t1, t2 = m1.transitions, m2.transitions
     return (m1.initial, m2.initial), lambda pair, letter: (t1[pair[0], letter], t2[pair[1], letter])
 
@@ -385,8 +378,7 @@ def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool
     the observations of the two machines."""
     start, step = _pairs(m1, m2)
     o1, o2 = _observer(m1), _observer(m2)
-    explored = _explore(start, m1.alphabet, step)
-    return _build(Dfa, m1.alphabet, explored, lambda pair: keep(o1(pair[0]), o2(pair[1])))
+    return _build(Dfa, start, m1.alphabet, step, lambda pair: keep(o1(pair[0]), o2(pair[1])))
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, _walk, _word, accepts, minimize
+from .automata import Dfa, Dfao, _AlphabetError, _walk, _word, accepts, minimize
+from .numeration import _check_natural
 from .tagsystem import _digit_table, _unfold
 
 
@@ -35,11 +36,8 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
     transitions, with no work shared between words.
     """
     if len(dfa.alphabet) != 2:
-        raise ValueError(
-            f"characteristic sequences need a two-letter alphabet, got {' '.join(dfa.alphabet)!r}"
-        )
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        raise _AlphabetError(dfa, "characteristic sequences need a two-letter alphabet")
+    _check_natural("count", count)
     delta = dfa.transitions
     succ = {
         state: {letter: delta[state, letter] for letter in dfa.alphabet} for state in dfa.states

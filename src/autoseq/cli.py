@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import charseq, compiler, formats, numeration, tagsystem
-from .automata import Dfa, Dfao, minimize, minimize_dfao
+from .automata import Dfa, Dfao, _AlphabetError, minimize, minimize_dfao
 
 
 def _show_word(word: str) -> str:
@@ -32,12 +33,19 @@ _EXPECTED = {
 }
 
 
+@contextmanager
 def _load(path, *kinds):
-    """The machine stored at ``path``, which must be one of ``kinds``."""
+    """The machine stored at ``path``, which must be one of ``kinds``; when
+    the body rejects its alphabet, the error names the file."""
     machine = formats.load(path)
     if not isinstance(machine, kinds):
         raise ValueError(f"{path}: expected {_EXPECTED[kinds]}")
-    return machine
+    try:
+        yield machine
+    except _AlphabetError as exc:
+        if exc.machine is not machine:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, path):
@@ -56,106 +64,105 @@ def _print_values(values, oeis: bool):
 
 
 def cmd_seq(args) -> int:
-    dfa = _load(args.machine, Dfa)
-    _print_values(map(str, charseq.char_seq(dfa, args.count)), args.oeis)
-    return 0
+    with _load(args.machine, Dfa) as dfa:
+        _print_values(map(str, charseq.char_seq(dfa, args.count)), args.oeis)
+        return 0
 
 
 def cmd_run(args) -> int:
-    dfao = _load(args.machine, Dfao)
-    _print_values(charseq.output_seq(dfao, args.count), args.oeis)
-    return 0
+    with _load(args.machine, Dfao) as dfao:
+        _print_values(charseq.output_seq(dfao, args.count), args.oeis)
+        return 0
 
 
 def cmd_compile(args) -> int:
-    dfa = _load(args.machine, Dfa)
-    compiled = compiler.compile_dfa(dfa, minimize=not args.no_minimize)
-    _emit(formats.dump(compiled), args.output)
-    return 0
+    with _load(args.machine, Dfa) as dfa:
+        compiled = compiler.compile_dfa(dfa, minimize=not args.no_minimize)
+        _emit(formats.dump(compiled), args.output)
+        return 0
 
 
 def cmd_verify(args) -> int:
-    dfa = _load(args.machine, Dfa)
-    index = compiler.first_mismatch(dfa, args.count)
-    if index is None:
-        print(f"OK {args.count}")
-        return 0
-    word = _show_word(numeration.shortlex_word(index, dfa.alphabet))
-    numeral = _show_word(numeration.to_digits(index, 2))
-    print(f"mismatch at index {index} (word {word}, numeral {numeral})")
-    return 2
+    with _load(args.machine, Dfa) as dfa:
+        index = compiler.first_mismatch(dfa, args.count)
+        if index is None:
+            print(f"OK {args.count}")
+            return 0
+        word = _show_word(numeration.shortlex_word(index, dfa.alphabet))
+        numeral = _show_word(numeration.to_digits(index, 2))
+        print(f"mismatch at index {index} (word {word}, numeral {numeral})")
+        return 2
 
 
 def cmd_split(args) -> int:
-    dfa = _load(args.machine, Dfa)
-    ones, zeros = compiler.split_dfa(dfa)
-    for machine, path, comment in (
-        (ones, args.out_ones, "numerals of the 1-positions"),
-        (zeros, args.out_zeros, "numerals of the 0-positions"),
-    ):
-        if path:
-            formats.save(machine, path)
-        else:
-            sys.stdout.write(f"# {comment}\n" + formats.dump(machine))
-    return 0
+    with _load(args.machine, Dfa) as dfa:
+        ones, zeros = compiler.split_dfa(dfa)
+        for machine, path, comment in (
+            (ones, args.out_ones, "numerals of the 1-positions"),
+            (zeros, args.out_zeros, "numerals of the 0-positions"),
+        ):
+            if path:
+                formats.save(machine, path)
+            else:
+                sys.stdout.write(f"# {comment}\n" + formats.dump(machine))
+        return 0
 
 
 def cmd_glue(args) -> int:
-    ones = _load(args.ones, Dfa)
-    zeros = _load(args.zeros, Dfa)
-    _emit(formats.dump(compiler.glue(ones, zeros)), args.output)
-    return 0
+    with _load(args.ones, Dfa) as ones, _load(args.zeros, Dfa) as zeros:
+        _emit(formats.dump(compiler.glue(ones, zeros)), args.output)
+        return 0
 
 
 def cmd_minimize(args) -> int:
-    machine = _load(args.machine, Dfa, Dfao)
-    small = minimize(machine) if isinstance(machine, Dfa) else minimize_dfao(machine)
-    _emit(formats.dump(small), args.output)
-    return 0
+    with _load(args.machine, Dfa, Dfao) as machine:
+        small = minimize(machine) if isinstance(machine, Dfa) else minimize_dfao(machine)
+        _emit(formats.dump(small), args.output)
+        return 0
 
 
 def cmd_residuals(args) -> int:
-    dfa = _load(args.machine, Dfa)
-    for residual in charseq.residuals(dfa):
-        print(f"{_show_word(residual.witness)} {residual.state}")
-    return 0
+    with _load(args.machine, Dfa) as dfa:
+        for residual in charseq.residuals(dfa):
+            print(f"{_show_word(residual.witness)} {residual.state}")
+        return 0
 
 
 def cmd_dot(args) -> int:
-    machine = _load(args.machine, Dfa, Dfao)
-    _emit(formats.to_dot(machine), args.output)
-    return 0
+    with _load(args.machine, Dfa, Dfao) as machine:
+        _emit(formats.to_dot(machine), args.output)
+        return 0
 
 
 def cmd_tag_from_dfao(args) -> int:
-    dfao = _load(args.machine, Dfao)
-    _emit(formats.dump(tagsystem.from_dfao(dfao)), args.output)
-    return 0
+    with _load(args.machine, Dfao) as dfao:
+        _emit(formats.dump(tagsystem.from_dfao(dfao)), args.output)
+        return 0
 
 
 def cmd_tag_seq(args) -> int:
-    system = _load(args.machine, tagsystem.TagSystem)
-    _print_values(tagsystem.seq(system, args.count), args.oeis)
-    return 0
+    with _load(args.machine, tagsystem.TagSystem) as system:
+        _print_values(tagsystem.seq(system, args.count), args.oeis)
+        return 0
 
 
 def cmd_tag_intseq(args) -> int:
-    system = _load(args.machine, tagsystem.TagSystem)
-    _print_values(tagsystem.intseq(system, args.count), args.oeis)
-    return 0
+    with _load(args.machine, tagsystem.TagSystem) as system:
+        _print_values(tagsystem.intseq(system, args.count), args.oeis)
+        return 0
 
 
 def cmd_tag_check(args) -> int:
-    system = _load(args.machine, tagsystem.TagSystem)
-    if not tagsystem.is_fixed_point_prefix(system, args.depth):
-        print(f"not a fixed point: substituting the first {args.depth} symbols diverges")
-        return 2
-    for n, symbol in enumerate(tagsystem.intseq(system, system.modulus * args.depth)):
-        if tagsystem.intseq_term(system, n) != symbol:
-            print(f"digit descent disagrees with substitution at index {n}")
+    with _load(args.machine, tagsystem.TagSystem) as system:
+        if not tagsystem.is_fixed_point_prefix(system, args.depth):
+            print(f"not a fixed point: substituting the first {args.depth} symbols diverges")
             return 2
-    print(f"OK {args.depth}")
-    return 0
+        for n, symbol in enumerate(tagsystem.intseq(system, system.modulus * args.depth)):
+            if tagsystem.intseq_term(system, n) != symbol:
+                print(f"digit descent disagrees with substitution at index {n}")
+                return 2
+        print(f"OK {args.depth}")
+        return 0
 
 
 def cmd_num_phi(args) -> int:

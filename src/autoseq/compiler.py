@@ -19,9 +19,10 @@ from __future__ import annotations
 from .automata import (
     Dfa,
     Dfao,
+    _AlphabetError,
     _build,
-    _explore,
     _product,
+    _walk,
     difference,
     intersection,
     minimize,
@@ -30,16 +31,10 @@ from .automata import (
     union,
 )
 from .charseq import char_seq, output_seq
+from .numeration import _check_natural
 
 # Raw compiled state meaning "nothing but zeros read so far" (index 0).
 _ZERO = None
-
-
-def _require_ab(dfa: Dfa):
-    if tuple(dfa.alphabet) != ("a", "b"):
-        raise ValueError(
-            f"the compiler expects the alphabet 'a b' in that order, got {' '.join(dfa.alphabet)!r}"
-        )
 
 
 def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
@@ -49,7 +44,8 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
     the tracked pair (state on word(n), state on word(n-1)), or None for
     the leading-zeros state.  At most |Q|**2 + 1 states are created.
     """
-    _require_ab(dfa)
+    if tuple(dfa.alphabet) != ("a", "b"):
+        raise _AlphabetError(dfa, "the compiler expects the alphabet 'a b' in that order")
     first, second = dfa.alphabet
     delta = dfa.transitions
     start = dfa.initial
@@ -67,9 +63,8 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
         tracked = start if raw is _ZERO else raw[0]
         return "1" if tracked in dfa.accepting else "0"
 
-    explored = _explore(_ZERO, ("0", "1"), step)
-    order, names, _ = explored
-    return _build(Dfao, ("0", "1"), explored, label), {names[raw]: raw for raw in order}
+    compiled = _build(Dfao, _ZERO, ("0", "1"), step, label)
+    return compiled, dict(zip(compiled.states, _walk(_ZERO, ("0", "1"), step, {})))
 
 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
@@ -141,9 +136,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
     """
     for machine in (ones, zeros):
         if tuple(machine.alphabet) != ("0", "1"):
-            raise ValueError(
-                f"glue expects machines over the digits '0 1', got {' '.join(machine.alphabet)!r}"
-            )
+            raise _AlphabetError(machine, "glue expects machines over the digits '0 1'")
 
     witness = shortest_accepted(intersection(ones, zeros))
     if witness is not None:
@@ -173,16 +166,14 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             )
         return "1" if in_ones else "0"
 
-    glued = _build(Dfao, ("0", "1"), _explore(startpair, ("0", "1"), step), label)
-    return minimize_dfao(glued)
+    return minimize_dfao(_build(Dfao, startpair, ("0", "1"), step, label))
 
 
 def first_mismatch(dfa: Dfa, count: int) -> int | None:
     """Index of the first disagreement between the compiled machine and the
     word-by-word characteristic sequence, or None if the first ``count``
     entries agree."""
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    _check_natural("count", count)
     compiled = compile_dfa(dfa)
     got = output_seq(compiled, count)
     want = char_seq(dfa, count)

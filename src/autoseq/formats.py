@@ -123,22 +123,9 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
             raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
         transitions[state, letter] = target
 
+    cls, observed = (Dfa, {"accepting": accepting}) if kind == "dfa" else (Dfao, {"outputs": outputs})
     try:
-        if kind == "dfa":
-            return Dfa(
-                alphabet=alphabet,
-                states=states,
-                initial=initial,
-                accepting=frozenset(accepting),
-                transitions=transitions,
-            )
-        return Dfao(
-            alphabet=alphabet,
-            states=states,
-            initial=initial,
-            transitions=transitions,
-            outputs=outputs,
-        )
+        return cls(alphabet=alphabet, states=states, initial=initial, transitions=transitions, **observed)
     except InvalidAutomatonError as exc:
         raise FormatError(str(exc), source) from exc
 
@@ -192,24 +179,23 @@ def dump(machine: Machine | TagSystem) -> str:
     Directives come out in a fixed order and transitions in declaration
     order of states and letters, so the output is stable.
     """
-    if isinstance(machine, Dfa):
+    if isinstance(machine, Machine):
+        if isinstance(machine, Dfa):
+            observed = "accepting " + " ".join(s for s in machine.states if s in machine.accepting)
+        else:
+            observed = "outputs " + " ".join(f"{s}={machine.outputs[s]}" for s in machine.states)
         lines = [
-            "type dfa",
+            "type " + ("dfa" if isinstance(machine, Dfa) else "dfao"),
             "alphabet " + " ".join(machine.alphabet),
             "states " + " ".join(machine.states),
             "initial " + machine.initial,
-            ("accepting " + " ".join(s for s in machine.states if s in machine.accepting)).rstrip(),
+            observed.rstrip(),
         ]
-        lines += _trans_lines(machine)
-    elif isinstance(machine, Dfao):
-        lines = [
-            "type dfao",
-            "alphabet " + " ".join(machine.alphabet),
-            "states " + " ".join(machine.states),
-            "initial " + machine.initial,
-            "outputs " + " ".join(f"{s}={machine.outputs[s]}" for s in machine.states),
+        lines += [
+            f"trans {state} {letter} {machine.transitions[state, letter]}"
+            for state in machine.states
+            for letter in machine.alphabet
         ]
-        lines += _trans_lines(machine)
     elif isinstance(machine, TagSystem):
         lines = [
             "type tag",
@@ -222,14 +208,6 @@ def dump(machine: Machine | TagSystem) -> str:
     else:
         raise TypeError(f"cannot serialize {type(machine).__name__}")
     return "\n".join(lines) + "\n"
-
-
-def _trans_lines(machine: Machine) -> list[str]:
-    return [
-        f"trans {state} {letter} {machine.transitions[state, letter]}"
-        for state in machine.states
-        for letter in machine.alphabet
-    ]
 
 
 def load(path) -> Dfa | Dfao | TagSystem:

@@ -18,6 +18,11 @@ def _check_base(base: int):
         raise ValueError(f"base must be an integer in 2..10, got {base!r}")
 
 
+def _check_natural(name: str, value):
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def _check_alphabet(alphabet) -> tuple[str, str]:
     pair = tuple(alphabet)
     if (
@@ -44,8 +49,7 @@ def from_digits(word: str, base: int) -> int:
 def to_digits(n: int, base: int) -> str:
     """Canonical base-``base`` numeral of n: no leading zeros, 0 -> ''."""
     _check_base(base)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    _check_natural("n", n)
     digits = []
     while n:
         n, d = divmod(n, base)
@@ -57,8 +61,7 @@ def shortlex_word(n: int, alphabet=("a", "b")) -> str:
     """The n-th word over a two-letter alphabet in shortlex order (index 0
     is the empty word)."""
     first, second = _check_alphabet(alphabet)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    _check_natural("n", n)
     letters = []
     while n:
         n, r = divmod(n - 1, 2)

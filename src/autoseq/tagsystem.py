@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .automata import Dfao, _id_problems, _label_problems
-from .numeration import _DIGITS
+from .automata import Dfao, _AlphabetError, _id_problems, _label_problems, _sorted
+from .numeration import _DIGITS, _check_natural
 
 
 class InvalidTagSystemError(ValueError):
@@ -61,7 +61,7 @@ class TagSystem:
         if self.start not in declared:
             problems.append(f"start symbol {self.start!r} is not declared")
 
-        for symbol, image in sorted(self.rules.items()):
+        for symbol, image in _sorted(self.rules.items()):
             if symbol not in declared:
                 problems.append(f"rule for undeclared symbol {symbol!r}")
             if isinstance(self.modulus, int) and len(image) != self.modulus:
@@ -89,10 +89,7 @@ def _digit_table(dfao: Dfao) -> dict[str, tuple[str, ...]]:
     """Successors of every state on the digits 0..k-1, which must be the alphabet."""
     base = len(dfao.alphabet)
     if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
-        raise ValueError(
-            f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order, "
-            f"got {' '.join(dfao.alphabet)!r}"
-        )
+        raise _AlphabetError(dfao, f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order")
     delta = dfao.transitions
     return {state: tuple(delta[state, digit] for digit in dfao.alphabet) for state in dfao.states}
 
@@ -101,8 +98,7 @@ def _unfold(table: Mapping[str, tuple[str, ...]], start: str, count: int) -> lis
     """First ``count`` states reached from ``start`` by the numerals 0, 1,
     2, ...: entry n * k + d is ``table[entry n][d]``, filled a block at a
     time.  The root skips digit 0, as canonical numerals do."""
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    _check_natural("count", count)
     base = len(table[start])
     states = [start, *table[start][1:]]
     read = 1
@@ -141,8 +137,7 @@ def intseq(system: TagSystem, count: int) -> list[str]:
 def intseq_term(system: TagSystem, n: int) -> str:
     """Symbol n of the fixed point, computed independently of :func:`intseq`
     by descending the base-k digits of n through the rules."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    _check_natural("n", n)
     digits = []
     while n:
         n, d = divmod(n, system.modulus)
@@ -161,7 +156,6 @@ def seq(system: TagSystem, count: int) -> list[str]:
 def is_fixed_point_prefix(system: TagSystem, depth: int) -> bool:
     """Check that substituting the first ``depth`` symbols of the claimed
     fixed point reproduces its first modulus * depth symbols."""
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
+    _check_natural("depth", depth)
     fixed = intseq(system, system.modulus * depth)
     return fixed == [target for symbol in fixed[:depth] for target in system.rules[symbol]]

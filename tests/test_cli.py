@@ -234,3 +234,41 @@ def test_malformed_file_reports_line(tmp_path, capsys):
 def test_negative_count_is_an_input_error(capsys):
     assert main(["seq", NO_BB, "--count", "-3"]) == 1
     assert "count" in capsys.readouterr().err
+
+
+ALPHABETS = {
+    "abc.aut": "type dfa\nalphabet a b c\nstates s\ninitial s\naccepting s\n"
+    "trans s a s\ntrans s b s\ntrans s c s\n",
+    "xy.aut": "type dfa\nalphabet x y\nstates s\ninitial s\naccepting s\ntrans s x s\ntrans s y s\n",
+    "ab.aut": "type dfao\nalphabet a b\nstates s\ninitial s\noutputs s=1\ntrans s a s\ntrans s b s\n",
+}
+TWO_LETTERS = "characteristic sequences need a two-letter alphabet, got 'a b c'"
+DIGITS = "need the digit alphabet 0..1 in order, got 'a b'"
+AB = "the compiler expects the alphabet 'a b' in that order, got 'x y'"
+GLUE = "glue expects machines over the digits '0 1', got 'x y'"
+
+
+@pytest.mark.parametrize(
+    "argv, culprit, message",
+    [
+        (["seq", "abc.aut", "--count", "4"], "abc.aut", TWO_LETTERS),
+        (["run", "ab.aut", "--count", "4"], "ab.aut", DIGITS),
+        (["tag", "from-dfao", "ab.aut"], "ab.aut", DIGITS),
+        (["compile", "xy.aut"], "xy.aut", AB),
+        (["verify", "xy.aut", "--count", "4"], "xy.aut", AB),
+        (["split", "xy.aut"], "xy.aut", AB),
+        (["glue", "xy.aut", ZEROS], "xy.aut", GLUE),
+        (["glue", ONES, "xy.aut"], "xy.aut", GLUE),
+        (["glue", "xy.aut", "abc.aut"], "xy.aut", GLUE),
+        (["verify", "xy.aut", "--count", "-3"], None, "count must be a non-negative integer, got -3"),
+    ],
+    ids=["seq", "run", "tag-from-dfao", "compile", "verify", "split", "glue-ones", "glue-zeros",
+         "glue-both", "verify-count"],
+)
+def test_alphabet_errors_name_the_file(tmp_path, capsys, argv, culprit, message):
+    for name, text in ALPHABETS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in ALPHABETS else arg for arg in argv]
+    assert main(argv) == 1
+    where = f"{tmp_path / culprit}: " if culprit else ""
+    assert capsys.readouterr().err == f"error: {where}{message}\n"

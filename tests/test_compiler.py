@@ -99,6 +99,43 @@ trans q7 0 q7
 trans q7 1 q7
 """
 
+# The unminimized pair construction: its states are named in the order the
+# breadth-first walk first reaches them, q1 = (e, e), q2 = (b, e), ...
+NO_BB_RAW = """\
+type dfao
+alphabet 0 1
+states q0 q1 q2 q3 q4 q5 q6 q7
+initial q0
+outputs q0=1 q1=1 q2=1 q3=1 q4=0 q5=1 q6=0 q7=0
+trans q0 0 q0
+trans q0 1 q1
+trans q1 0 q2
+trans q1 1 q3
+trans q2 0 q2
+trans q2 1 q3
+trans q3 0 q4
+trans q3 1 q5
+trans q4 0 q2
+trans q4 1 q6
+trans q5 0 q7
+trans q5 1 q5
+trans q6 0 q4
+trans q6 1 q7
+trans q7 0 q7
+trans q7 1 q7
+"""
+
+# A recognizer of nothing: its 'accepting' line has no trailing space.
+NOTHING = """\
+type dfa
+alphabet 0 1
+states s
+initial s
+accepting
+trans s 0 s
+trans s 1 s
+"""
+
 
 def test_compile_reproduces_the_sequence(no_bb):
     compiled = compile_dfa(no_bb)
@@ -197,6 +234,8 @@ def test_constructions_dump_canonical_names(no_bb):
     assert dump(ones) == NO_BB_ONES
     assert dump(zeros) == NO_BB_ZEROS
     assert dump(glue(ones, zeros)) == NO_BB_COMPILED
+    assert dump(compile_dfa(no_bb, minimize=False)) == NO_BB_RAW
+    assert dump(Dfa(("0", "1"), ("s",), "s", (), {("s", "0"): "s", ("s", "1"): "s"})) == NOTHING
 
 
 def test_split_is_a_partition_of_the_canonical_numerals():

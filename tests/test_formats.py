@@ -228,6 +228,29 @@ def test_id_and_label_messages_are_pinned():
     with pytest.raises(InvalidTagSystemError) as err:
         TagSystem(2, (), "p", {}, {})
     assert err.value.problems == ["no symbols declared", "start symbol 'p' is not declared"]
+    # a key that is not a string is reported like any other; items that do
+    # not compare are listed in repr order
+    loops = {("s", "0"): "s", ("t", "0"): "s"}
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfa(("0",), ("s", "t"), "s", {5, "u", "s"}, loops)
+    assert err.value.problems == ["accepting state 'u' is not declared", "accepting state 5 is not declared"]
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfa(("0",), ("s", "t"), "s", (), loops | {(5, "0"): "s", ("u", "0"): "t"})
+    assert err.value.problems == [
+        "transition from undeclared state 'u'",
+        "transition from undeclared state 5",
+    ]
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfao(("0",), ("s", "t"), "s", loops, {5: "x", "s": "1", "t": "0", "u": "2"})
+    assert err.value.problems == ["output for undeclared state 'u'", "output for undeclared state 5"]
+    rules = {"p": ("p", "q"), "q": ("q", "p"), 5: ("p", "p")}
+    with pytest.raises(InvalidTagSystemError) as err:
+        TagSystem(2, ("p", "q"), "p", rules, {"p": "1", "q": "0", 5: "a=b"})
+    assert err.value.problems == [
+        "rule for undeclared symbol 5",
+        "coding for undeclared symbol 5",
+        f"coding letter 'a=b' {token}",
+    ]
     for text, source, message in (
         ("type dfao\noutputs s\n", "f.aut", "f.aut:2: malformed output 's', expected state=letter"),
         ("type dfao\noutputs s=1 s=0\n", "f.aut", "f.aut:2: duplicate output for state 's'"),
