@@ -31,12 +31,20 @@ class InvalidAutomatonError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class _AlphabetError(ValueError):
+class _MachineError(ValueError):
+    """``machine`` does not suit the operation it was handed to; the CLI
+    names the file it came from."""
+
+    def __init__(self, machine, message: str):
+        self.machine = machine
+        super().__init__(message)
+
+
+class _AlphabetError(_MachineError):
     """``machine`` is not over the alphabet that an operation ``needs``."""
 
     def __init__(self, machine, needs: str):
-        self.machine = machine
-        super().__init__(f"{needs}, got {' '.join(machine.alphabet)!r}")
+        super().__init__(machine, f"{needs}, got {' '.join(machine.alphabet)!r}")
 
 
 _CASTS = {"alphabet": tuple, "states": tuple, "accepting": frozenset, "transitions": dict, "outputs": dict}
@@ -253,19 +261,21 @@ def _observer(machine: Machine) -> Callable[[str], Hashable]:
     return machine.outputs.__getitem__
 
 
-def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
+def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tuple[Machine, list]:
     """Machine of ``kind`` on the nodes reachable from ``start`` under
-    ``step``, named ``q0, q1, ...`` in :func:`_walk` order, which makes every
-    construction built on this helper deterministic.  Each state observes
-    ``observe(node)``, as acceptance or as output letter."""
+    ``step``, and those nodes in :func:`_walk` order.  States are named
+    ``q0, q1, ...`` in that order, which makes every construction built on
+    this helper deterministic.  Each state observes ``observe(node)``, as
+    acceptance or as output letter."""
     order = list(_walk(start, alphabet, step, {}))
     names = {node: f"q{i}" for i, node in enumerate(order)}
     states = tuple(names.values())
     transitions = {(names[node], a): names[step(node, a)] for node in order for a in alphabet}
     if kind is Dfa:
         accepting = frozenset(names[node] for node in order if observe(node))
-        return Dfa(alphabet, states, states[0], accepting, transitions)
-    return Dfao(alphabet, states, states[0], transitions, {names[node]: observe(node) for node in order})
+        return Dfa(alphabet, states, states[0], accepting, transitions), order
+    outputs = {names[node]: observe(node) for node in order}
+    return Dfao(alphabet, states, states[0], transitions, outputs), order
 
 
 def _index_by(order, key: Callable) -> dict:
@@ -307,7 +317,7 @@ def _minimize(machine: Machine) -> Machine:
     def step(cls, letter):
         return classes[delta[reps[cls], letter]]
 
-    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))
+    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -378,7 +388,7 @@ def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool
     the observations of the two machines."""
     start, step = _pairs(m1, m2)
     o1, o2 = _observer(m1), _observer(m2)
-    return _build(Dfa, start, m1.alphabet, step, lambda pair: keep(o1(pair[0]), o2(pair[1])))
+    return _build(Dfa, start, m1.alphabet, step, lambda pair: keep(o1(pair[0]), o2(pair[1])))[0]
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:

@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Every leaf command is declared once, in ``_COMMANDS``: its path, help text,
+the machine kinds it loads, its extra arguments and its handler.  Most
+commands share one of three handlers (print a sequence, write a text to
+``-o`` or stdout, print a conversion).  The parser is built from that table
+on the first call of :func:`main` and reused for the rest of the process.
+
 Exit codes: 0 on success, 1 when the input is at fault (unreadable or
 malformed files, bad words, languages that do not partition the numerals),
 2 when an internal cross-check fails.
@@ -10,10 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache, partial
 from pathlib import Path
 
 from . import charseq, compiler, formats, numeration, tagsystem
-from .automata import Dfa, Dfao, _AlphabetError, minimize, minimize_dfao
+from .automata import Dfa, Dfao, _MachineError, minimize, minimize_dfao
+from .tagsystem import TagSystem
 
 
 def _show_word(word: str) -> str:
@@ -24,25 +32,26 @@ def _read_word(arg: str) -> str:
     return "" if arg == "Λ" else arg
 
 
-# What each accepted combination of machine types is called in errors.
-_EXPECTED = {
-    (Dfa,): "a recognizer (type dfa)",
-    (Dfao,): "an output machine (type dfao)",
-    (tagsystem.TagSystem,): "a tag system (type tag)",
-    (Dfa, Dfao): "an automaton (type dfa or dfao)",
+# Each accepted combination of machine kinds: what errors call it, and the
+# help of the ``machine`` argument.
+_KINDS = {
+    (Dfa,): ("a recognizer (type dfa)", "dfa file"),
+    (Dfao,): ("an output machine (type dfao)", "dfao file"),
+    (TagSystem,): ("a tag system (type tag)", "tag file"),
+    (Dfa, Dfao): ("an automaton (type dfa or dfao)", None),
 }
 
 
 @contextmanager
 def _load(path, *kinds):
     """The machine stored at ``path``, which must be one of ``kinds``; when
-    the body rejects its alphabet, the error names the file."""
+    the body rejects the machine, the error names the file."""
     machine = formats.load(path)
     if not isinstance(machine, kinds):
-        raise ValueError(f"{path}: expected {_EXPECTED[kinds]}")
+        raise ValueError(f"{path}: expected {_KINDS[kinds][0]}")
     try:
         yield machine
-    except _AlphabetError as exc:
+    except _MachineError as exc:
         if exc.machine is not machine:
             raise
         raise ValueError(f"{path}: {exc}") from None
@@ -55,57 +64,50 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _print_values(values, oeis: bool):
-    """Print string ``values`` on one line, or one ``n value`` pair per line."""
-    if oeis:
+def _sequence(terms, args, machine) -> int:
+    """Print the strings ``terms(machine, count)`` on one line, or one
+    ``n value`` pair per line with ``--oeis``."""
+    values = terms(machine, args.count)
+    if args.oeis:
         sys.stdout.write("".join(f"{n} {value}\n" for n, value in enumerate(values)))
     else:
         print(" ".join(values))
+    return 0
 
 
-def cmd_seq(args) -> int:
-    with _load(args.machine, Dfa) as dfa:
-        _print_values(map(str, charseq.char_seq(dfa, args.count)), args.oeis)
+def _text(render, args, machine) -> int:
+    """Write ``render(machine, args)`` to ``-o`` or stdout."""
+    _emit(render(machine, args), args.output)
+    return 0
+
+
+def _conversion(convert, args) -> int:
+    print(convert(args))
+    return 0
+
+
+def cmd_verify(args, dfa) -> int:
+    index = compiler.first_mismatch(dfa, args.count)
+    if index is None:
+        print(f"OK {args.count}")
         return 0
+    word = _show_word(numeration.shortlex_word(index, dfa.alphabet))
+    numeral = _show_word(numeration.to_digits(index, 2))
+    print(f"mismatch at index {index} (word {word}, numeral {numeral})")
+    return 2
 
 
-def cmd_run(args) -> int:
-    with _load(args.machine, Dfao) as dfao:
-        _print_values(charseq.output_seq(dfao, args.count), args.oeis)
-        return 0
-
-
-def cmd_compile(args) -> int:
-    with _load(args.machine, Dfa) as dfa:
-        compiled = compiler.compile_dfa(dfa, minimize=not args.no_minimize)
-        _emit(formats.dump(compiled), args.output)
-        return 0
-
-
-def cmd_verify(args) -> int:
-    with _load(args.machine, Dfa) as dfa:
-        index = compiler.first_mismatch(dfa, args.count)
-        if index is None:
-            print(f"OK {args.count}")
-            return 0
-        word = _show_word(numeration.shortlex_word(index, dfa.alphabet))
-        numeral = _show_word(numeration.to_digits(index, 2))
-        print(f"mismatch at index {index} (word {word}, numeral {numeral})")
-        return 2
-
-
-def cmd_split(args) -> int:
-    with _load(args.machine, Dfa) as dfa:
-        ones, zeros = compiler.split_dfa(dfa)
-        for machine, path, comment in (
-            (ones, args.out_ones, "numerals of the 1-positions"),
-            (zeros, args.out_zeros, "numerals of the 0-positions"),
-        ):
-            if path:
-                formats.save(machine, path)
-            else:
-                sys.stdout.write(f"# {comment}\n" + formats.dump(machine))
-        return 0
+def cmd_split(args, dfa) -> int:
+    ones, zeros = compiler.split_dfa(dfa)
+    for machine, path, comment in (
+        (ones, args.out_ones, "numerals of the 1-positions"),
+        (zeros, args.out_zeros, "numerals of the 0-positions"),
+    ):
+        if path:
+            formats.save(machine, path)
+        else:
+            sys.stdout.write(f"# {comment}\n" + formats.dump(machine))
+    return 0
 
 
 def cmd_glue(args) -> int:
@@ -114,214 +116,120 @@ def cmd_glue(args) -> int:
         return 0
 
 
-def cmd_minimize(args) -> int:
-    with _load(args.machine, Dfa, Dfao) as machine:
-        small = minimize(machine) if isinstance(machine, Dfa) else minimize_dfao(machine)
-        _emit(formats.dump(small), args.output)
-        return 0
+def cmd_residuals(args, dfa) -> int:
+    for residual in charseq.residuals(dfa):
+        print(f"{_show_word(residual.witness)} {residual.state}")
+    return 0
 
 
-def cmd_residuals(args) -> int:
-    with _load(args.machine, Dfa) as dfa:
-        for residual in charseq.residuals(dfa):
-            print(f"{_show_word(residual.witness)} {residual.state}")
-        return 0
-
-
-def cmd_dot(args) -> int:
-    with _load(args.machine, Dfa, Dfao) as machine:
-        _emit(formats.to_dot(machine), args.output)
-        return 0
-
-
-def cmd_tag_from_dfao(args) -> int:
-    with _load(args.machine, Dfao) as dfao:
-        _emit(formats.dump(tagsystem.from_dfao(dfao)), args.output)
-        return 0
-
-
-def cmd_tag_seq(args) -> int:
-    with _load(args.machine, tagsystem.TagSystem) as system:
-        _print_values(tagsystem.seq(system, args.count), args.oeis)
-        return 0
-
-
-def cmd_tag_intseq(args) -> int:
-    with _load(args.machine, tagsystem.TagSystem) as system:
-        _print_values(tagsystem.intseq(system, args.count), args.oeis)
-        return 0
-
-
-def cmd_tag_check(args) -> int:
-    with _load(args.machine, tagsystem.TagSystem) as system:
-        if not tagsystem.is_fixed_point_prefix(system, args.depth):
-            print(f"not a fixed point: substituting the first {args.depth} symbols diverges")
+def cmd_tag_check(args, system) -> int:
+    if not tagsystem.is_fixed_point_prefix(system, args.depth):
+        print(f"not a fixed point: substituting the first {args.depth} symbols diverges")
+        return 2
+    for n, symbol in enumerate(tagsystem.intseq(system, system.modulus * args.depth)):
+        if tagsystem.intseq_term(system, n) != symbol:
+            print(f"digit descent disagrees with substitution at index {n}")
             return 2
-        for n, symbol in enumerate(tagsystem.intseq(system, system.modulus * args.depth)):
-            if tagsystem.intseq_term(system, n) != symbol:
-                print(f"digit descent disagrees with substitution at index {n}")
-                return 2
-        print(f"OK {args.depth}")
-        return 0
-
-
-def cmd_num_phi(args) -> int:
-    print(_show_word(numeration.shortlex_word(args.n)))
+    print(f"OK {args.depth}")
     return 0
 
 
-def cmd_num_phi_inv(args) -> int:
-    print(numeration.shortlex_index(_read_word(args.word)))
-    return 0
+def _arg(*names, **options):
+    return names, options
 
 
-def cmd_num_canon(args) -> int:
-    print(_show_word(numeration.to_digits(args.n, args.base)))
-    return 0
+_COUNT = (
+    _arg("--count", type=int, required=True, help="number of entries to print"),
+    _arg("--oeis", action="store_true", help="print one 'n value' pair per line"),
+)
+_OUTPUT = (_arg("-o", "--output", metavar="FILE", help="write to FILE instead of stdout"),)
+_N = (_arg("n", type=int),)
+_WORD = (_arg("word"),)
+_BASE = _arg("--base", type=int, default=2)
+
+_GROUPS = {"tag": "uniform tag systems", "num": "numeral and word conversions"}
+
+# (path, help, machine kinds, extra arguments, handler), in help order.  The
+# handlers look library functions up when they run, so that tests and
+# tracers can replace them in their modules.
+_COMMANDS = [
+    ("seq", "characteristic sequence straight from a recognizer", (Dfa,), _COUNT,
+     partial(_sequence, lambda dfa, count: map(str, charseq.char_seq(dfa, count)))),
+    ("run", "output sequence of a digit machine", (Dfao,), _COUNT,
+     partial(_sequence, lambda dfao, count: charseq.output_seq(dfao, count))),
+    ("compile", "compile a recognizer into a base-2 output machine", (Dfa,),
+     (*_OUTPUT, _arg("--no-minimize", action="store_true", help="keep the raw pair construction")),
+     partial(_text, lambda dfa, args: formats.dump(compiler.compile_dfa(dfa, not args.no_minimize)))),
+    ("verify", "compare the compiled machine against the word-by-word sequence", (Dfa,),
+     (_arg("--count", type=int, required=True, help="number of entries to compare"),), cmd_verify),
+    ("split", "recognizers for the numerals of the 1- and 0-positions", (Dfa,),
+     (_arg("-o-m", dest="out_ones", metavar="FILE", help="write the 1-positions machine to FILE"),
+      _arg("-o-n", dest="out_zeros", metavar="FILE", help="write the 0-positions machine to FILE")),
+     cmd_split),
+    ("glue", "rebuild an output machine from a numeral partition", (),
+     (_arg("ones", help="dfa file for the 1-positions"), _arg("zeros", help="dfa file for the 0-positions"),
+      *_OUTPUT), cmd_glue),
+    ("minimize", "minimize a dfa or dfao", (Dfa, Dfao), _OUTPUT,
+     partial(_text, lambda m, args: formats.dump(minimize(m) if isinstance(m, Dfa) else minimize_dfao(m)))),
+    ("residuals", "distinct residual languages with shortest witnesses", (Dfa,), (), cmd_residuals),
+    ("dot", "Graphviz rendering of a dfa or dfao", (Dfa, Dfao), _OUTPUT,
+     partial(_text, lambda machine, args: formats.to_dot(machine))),
+    ("tag from-dfao", "read a digit machine off as a substitution", (Dfao,), _OUTPUT,
+     partial(_text, lambda dfao, args: formats.dump(tagsystem.from_dfao(dfao)))),
+    ("tag seq", "coded fixed point of a tag system", (TagSystem,), _COUNT,
+     partial(_sequence, lambda system, count: tagsystem.seq(system, count))),
+    ("tag intseq", "raw fixed point of a tag system", (TagSystem,), _COUNT,
+     partial(_sequence, lambda system, count: tagsystem.intseq(system, count))),
+    ("tag check", "check the fixed point and the digit descent agree", (TagSystem,),
+     (_arg("--depth", type=int, required=True, help="number of leading symbols to substitute"),),
+     cmd_tag_check),
+    ("num phi", "n-th word in shortlex order", (), _N,
+     partial(_conversion, lambda args: _show_word(numeration.shortlex_word(args.n)))),
+    ("num phi-inv", "shortlex index of a word over a, b", (), _WORD,
+     partial(_conversion, lambda args: numeration.shortlex_index(_read_word(args.word)))),
+    ("num canon", "canonical numeral of n", (), (*_N, _BASE),
+     partial(_conversion, lambda args: _show_word(numeration.to_digits(args.n, args.base)))),
+    ("num nu", "value of a numeral", (), (*_WORD, _BASE),
+     partial(_conversion, lambda args: numeration.from_digits(_read_word(args.word), args.base))),
+    ("num rho", "fixed-width increment of a binary word", (), _WORD,
+     partial(_conversion, lambda args: _show_word(numeration.increment_bits(_read_word(args.word))))),
+    ("num gamma", "incremented window written over a, b", (), _WORD,
+     partial(_conversion, lambda args: _show_word(numeration.increment_letters(_read_word(args.word))))),
+]
 
 
-def cmd_num_nu(args) -> int:
-    print(numeration.from_digits(_read_word(args.word), args.base))
-    return 0
-
-
-def cmd_num_rho(args) -> int:
-    print(_show_word(numeration.increment_bits(_read_word(args.word))))
-    return 0
-
-
-def cmd_num_gamma(args) -> int:
-    print(_show_word(numeration.increment_letters(_read_word(args.word))))
-    return 0
-
-
-def _add_count(parser):
-    parser.add_argument("--count", type=int, required=True, help="number of entries to print")
-    parser.add_argument("--oeis", action="store_true", help="print one 'n value' pair per line")
-
-
-def _add_output(parser):
-    parser.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
-
-
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autoseq",
         description="Characteristic sequences of regular languages over a two-letter "
         "alphabet, their base-2 output machines, and the matching tag systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seq", help="characteristic sequence straight from a recognizer")
-    p.add_argument("machine", help="dfa file")
-    _add_count(p)
-    p.set_defaults(func=cmd_seq)
-
-    p = sub.add_parser("run", help="output sequence of a digit machine")
-    p.add_argument("machine", help="dfao file")
-    _add_count(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compile", help="compile a recognizer into a base-2 output machine")
-    p.add_argument("machine", help="dfa file")
-    _add_output(p)
-    p.add_argument("--no-minimize", action="store_true", help="keep the raw pair construction")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("verify", help="compare the compiled machine against the word-by-word sequence")
-    p.add_argument("machine", help="dfa file")
-    p.add_argument("--count", type=int, required=True, help="number of entries to compare")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("split", help="recognizers for the numerals of the 1- and 0-positions")
-    p.add_argument("machine", help="dfa file")
-    p.add_argument("-o-m", dest="out_ones", metavar="FILE", help="write the 1-positions machine to FILE")
-    p.add_argument("-o-n", dest="out_zeros", metavar="FILE", help="write the 0-positions machine to FILE")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("glue", help="rebuild an output machine from a numeral partition")
-    p.add_argument("ones", help="dfa file for the 1-positions")
-    p.add_argument("zeros", help="dfa file for the 0-positions")
-    _add_output(p)
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("minimize", help="minimize a dfa or dfao")
-    p.add_argument("machine")
-    _add_output(p)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("residuals", help="distinct residual languages with shortest witnesses")
-    p.add_argument("machine", help="dfa file")
-    p.set_defaults(func=cmd_residuals)
-
-    p = sub.add_parser("dot", help="Graphviz rendering of a dfa or dfao")
-    p.add_argument("machine")
-    _add_output(p)
-    p.set_defaults(func=cmd_dot)
-
-    tag = sub.add_parser("tag", help="uniform tag systems")
-    tag_sub = tag.add_subparsers(dest="tag_command", required=True)
-
-    p = tag_sub.add_parser("from-dfao", help="read a digit machine off as a substitution")
-    p.add_argument("machine", help="dfao file")
-    _add_output(p)
-    p.set_defaults(func=cmd_tag_from_dfao)
-
-    p = tag_sub.add_parser("seq", help="coded fixed point of a tag system")
-    p.add_argument("machine", help="tag file")
-    _add_count(p)
-    p.set_defaults(func=cmd_tag_seq)
-
-    p = tag_sub.add_parser("intseq", help="raw fixed point of a tag system")
-    p.add_argument("machine", help="tag file")
-    _add_count(p)
-    p.set_defaults(func=cmd_tag_intseq)
-
-    p = tag_sub.add_parser("check", help="check the fixed point and the digit descent agree")
-    p.add_argument("machine", help="tag file")
-    p.add_argument("--depth", type=int, required=True, help="number of leading symbols to substitute")
-    p.set_defaults(func=cmd_tag_check)
-
-    num = sub.add_parser("num", help="numeral and word conversions")
-    num_sub = num.add_subparsers(dest="num_command", required=True)
-
-    p = num_sub.add_parser("phi", help="n-th word in shortlex order")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_num_phi)
-
-    p = num_sub.add_parser("phi-inv", help="shortlex index of a word over a, b")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_num_phi_inv)
-
-    p = num_sub.add_parser("canon", help="canonical numeral of n")
-    p.add_argument("n", type=int)
-    p.add_argument("--base", type=int, default=2)
-    p.set_defaults(func=cmd_num_canon)
-
-    p = num_sub.add_parser("nu", help="value of a numeral")
-    p.add_argument("word")
-    p.add_argument("--base", type=int, default=2)
-    p.set_defaults(func=cmd_num_nu)
-
-    p = num_sub.add_parser("rho", help="fixed-width increment of a binary word")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_num_rho)
-
-    p = num_sub.add_parser("gamma", help="incremented window written over a, b")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_num_gamma)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, summary, kinds, arguments, handler in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            sub = subparsers[""].add_parser(group, help=_GROUPS[group])
+            subparsers[group] = sub.add_subparsers(dest=f"{group}_command", required=True)
+        p = subparsers[group].add_parser(name, help=summary)
+        if kinds:
+            p.add_argument("machine", help=_KINDS[kinds][1])
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(kinds=kinds, handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        if not args.kinds:
+            return args.handler(args)
+        with _load(args.machine, *args.kinds) as machine:
+            return args.handler(args, machine)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

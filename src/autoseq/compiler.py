@@ -22,7 +22,6 @@ from .automata import (
     _AlphabetError,
     _build,
     _product,
-    _walk,
     difference,
     intersection,
     minimize,
@@ -63,8 +62,8 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
         tracked = start if raw is _ZERO else raw[0]
         return "1" if tracked in dfa.accepting else "0"
 
-    compiled = _build(Dfao, _ZERO, ("0", "1"), step, label)
-    return compiled, dict(zip(compiled.states, _walk(_ZERO, ("0", "1"), step, {})))
+    compiled, order = _build(Dfao, _ZERO, ("0", "1"), step, label)
+    return compiled, dict(zip(compiled.states, order))
 
 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
@@ -166,7 +165,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             )
         return "1" if in_ones else "0"
 
-    return minimize_dfao(_build(Dfao, startpair, ("0", "1"), step, label))
+    return minimize_dfao(_build(Dfao, startpair, ("0", "1"), step, label)[0])
 
 
 def first_mismatch(dfa: Dfa, count: int) -> int | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .automata import Dfao, _AlphabetError, _id_problems, _label_problems, _sorted
+from .automata import Dfao, _AlphabetError, _MachineError, _id_problems, _label_problems, _sorted
 from .numeration import _DIGITS, _check_natural
 
 
@@ -121,8 +121,8 @@ def from_dfao(dfao: Dfao) -> TagSystem:
     """
     rules = _digit_table(dfao)
     if rules[dfao.initial][0] != dfao.initial:
-        raise ValueError(
-            f"the initial state {dfao.initial!r} has no self-loop on digit 0, "
+        raise _MachineError(
+            dfao, f"the initial state {dfao.initial!r} has no self-loop on digit 0, "
             f"so the substitution would not be prolongable"
         )
     return TagSystem(len(dfao.alphabet), dfao.states, dfao.initial, rules, dfao.outputs)

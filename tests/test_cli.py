@@ -1,6 +1,11 @@
+import argparse
+import sys
+from pathlib import Path
+
 import pytest
 
 from autoseq import Dfa, Dfao, TagSystem, dfao_equivalent, equivalent, load
+from autoseq import cli
 from autoseq.cli import main
 from conftest import MACHINES
 
@@ -241,11 +246,14 @@ ALPHABETS = {
     "trans s a s\ntrans s b s\ntrans s c s\n",
     "xy.aut": "type dfa\nalphabet x y\nstates s\ninitial s\naccepting s\ntrans s x s\ntrans s y s\n",
     "ab.aut": "type dfao\nalphabet a b\nstates s\ninitial s\noutputs s=1\ntrans s a s\ntrans s b s\n",
+    "noloop.aut": "type dfao\nalphabet 0 1\nstates s t\ninitial s\noutputs s=0 t=1\n"
+    "trans s 0 t\ntrans s 1 s\ntrans t 0 t\ntrans t 1 s\n",
 }
 TWO_LETTERS = "characteristic sequences need a two-letter alphabet, got 'a b c'"
 DIGITS = "need the digit alphabet 0..1 in order, got 'a b'"
 AB = "the compiler expects the alphabet 'a b' in that order, got 'x y'"
 GLUE = "glue expects machines over the digits '0 1', got 'x y'"
+NOLOOP = "the initial state 's' has no self-loop on digit 0, so the substitution would not be prolongable"
 
 
 @pytest.mark.parametrize(
@@ -261,9 +269,10 @@ GLUE = "glue expects machines over the digits '0 1', got 'x y'"
         (["glue", ONES, "xy.aut"], "xy.aut", GLUE),
         (["glue", "xy.aut", "abc.aut"], "xy.aut", GLUE),
         (["verify", "xy.aut", "--count", "-3"], None, "count must be a non-negative integer, got -3"),
+        (["tag", "from-dfao", "noloop.aut"], "noloop.aut", NOLOOP),
     ],
     ids=["seq", "run", "tag-from-dfao", "compile", "verify", "split", "glue-ones", "glue-zeros",
-         "glue-both", "verify-count"],
+         "glue-both", "verify-count", "tag-from-dfao-noloop"],
 )
 def test_alphabet_errors_name_the_file(tmp_path, capsys, argv, culprit, message):
     for name, text in ALPHABETS.items():
@@ -272,3 +281,41 @@ def test_alphabet_errors_name_the_file(tmp_path, capsys, argv, culprit, message)
     assert main(argv) == 1
     where = f"{tmp_path / culprit}: " if culprit else ""
     assert capsys.readouterr().err == f"error: {where}{message}\n"
+
+
+PARSER_PATHS = [
+    "",
+    *"seq run compile verify split glue minimize residuals dot tag num".split(),
+    *(f"tag {name}" for name in "from-dfao seq intseq check".split()),
+    *(f"num {name}" for name in "phi phi-inv canon nu rho gamma".split()),
+]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse lays help out differently from 3.13 on")
+def test_parser_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for path in PARSER_PATHS:
+        for extra, status in ((["--help"], 0), ([], 1)):
+            argv = [*path.split(), *extra]
+            assert main(argv) == status, argv
+            captured = capsys.readouterr()
+            blocks.append(f"$ {' '.join(['autoseq', *argv])}\n[stdout]\n{captured.out}[stderr]\n{captured.err}")
+    assert "".join(blocks) == Path(__file__).with_name("cli_text.txt").read_text(encoding="utf-8")
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert main(["num", "phi", "5"]) == 0
+    first = len(built)
+    assert main(["num", "phi", "6"]) == 0
+    assert first > 0 and len(built) == first
+    assert capsys.readouterr().out == "ba\nbb\n"

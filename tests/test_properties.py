@@ -1,0 +1,104 @@
+"""Property-based checks on generated machines: the file format round-trips,
+parsing fails only with FormatError, minimization is canonical, and
+split-then-glue gives back the compiled machine."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from autoseq import (
+    Dfa,
+    Dfao,
+    FormatError,
+    TagSystem,
+    compile_dfa,
+    dfao_equivalent,
+    dump,
+    equivalent,
+    glue,
+    minimize,
+    minimize_dfao,
+    parse,
+    split_dfa,
+)
+
+# Seeded and without an example database, so every run checks the same cases.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Any character a file can hold apart from whitespace, '#' and '='.
+CHARACTER = st.characters(blacklist_categories=("Cs",), blacklist_characters="#=").filter(
+    lambda c: not c.isspace()
+)
+TOKEN = st.text(CHARACTER, min_size=1, max_size=3)
+
+
+@st.composite
+def automata(draw, kind, alphabets=st.lists(CHARACTER, min_size=1, max_size=3, unique=True)):
+    states = draw(st.lists(TOKEN, min_size=1, max_size=6, unique=True))
+    alphabet = tuple(draw(alphabets))
+    target = st.sampled_from(states)
+    transitions = {(state, letter): draw(target) for state in states for letter in alphabet}
+    initial = draw(target)
+    if kind is Dfa:
+        return Dfa(alphabet, states, initial, draw(st.frozensets(target)), transitions)
+    return Dfao(alphabet, states, initial, transitions, {state: draw(TOKEN) for state in states})
+
+
+@st.composite
+def tag_systems(draw):
+    modulus = draw(st.integers(2, 4))
+    symbols = draw(st.lists(TOKEN, min_size=1, max_size=5, unique=True))
+    start = draw(st.sampled_from(symbols))
+    image = st.lists(st.sampled_from(symbols), min_size=modulus, max_size=modulus)
+    rules = {symbol: draw(image) for symbol in symbols}
+    rules[start][0] = start
+    return TagSystem(modulus, symbols, start, rules, {symbol: draw(TOKEN) for symbol in symbols})
+
+
+TWO_LETTERS = st.sampled_from([("a", "b"), ("0", "1")])
+
+# Documents made of directive words, machine-like tokens and arbitrary text.
+WORD = st.one_of(
+    st.sampled_from(
+        "type dfa dfao tag alphabet states initial accepting outputs trans modulus symbols "
+        "start morph -> code a b 0 1 2 s t s=1 t=a = # ²".split()
+    ),
+    st.text(max_size=3),
+)
+DOCUMENTS = st.one_of(st.text(), st.lists(st.lists(WORD, max_size=6).map(" ".join), max_size=8).map("\n".join))
+
+
+@PROPERTY
+@given(st.one_of(automata(Dfa), automata(Dfao), tag_systems()))
+def test_parse_reads_back_what_dump_writes(machine):
+    assert parse(dump(machine)) == machine
+
+
+@settings(PROPERTY, max_examples=300)
+@given(DOCUMENTS)
+def test_parse_fails_only_with_format_errors(text):
+    try:
+        parse(text)
+    except FormatError:
+        pass
+
+
+@PROPERTY
+@given(automata(Dfa, TWO_LETTERS))
+def test_minimize_is_idempotent_and_keeps_the_language(dfa):
+    small = minimize(dfa)
+    assert minimize(small) == small
+    assert equivalent(small, dfa)
+
+
+@PROPERTY
+@given(automata(Dfao, TWO_LETTERS))
+def test_minimize_dfao_is_idempotent_and_keeps_the_outputs(dfao):
+    small = minimize_dfao(dfao)
+    assert minimize_dfao(small) == small
+    assert dfao_equivalent(small, dfao)
+
+
+@PROPERTY
+@given(automata(Dfa, st.just(("a", "b"))))
+def test_glue_undoes_split(dfa):
+    assert dfao_equivalent(glue(*split_dfa(dfa)), compile_dfa(dfa))
