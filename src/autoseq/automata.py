@@ -9,12 +9,16 @@ A Dfa is a Dfao whose output is "accepting or not": both are one record
 but for that field.  The algorithms see a state only through its
 observation (acceptance for a Dfa, the output letter for a Dfao), so each
 exists once for both kinds.  One breadth-first walk both builds and
-searches: it builds every machine (Moore refinement, the pair products of
-the boolean operations, the compiler and glue), naming states q0, q1, ...
-in the order it reaches them, and its back-pointers give shortest accepted
-words and shortest counterexamples.  Equivalence checks are exact: they
-walk the product automaton and either prove the machines equal or return a
-shortest word witnessing the difference.
+searches: it builds every machine (minimization, the pair products of the
+boolean operations, the compiler and glue), naming states q0, q1, ... in
+the order it reaches them and stepping once per state and letter, and its
+back-pointers give shortest accepted words and shortest counterexamples.
+Minimization finds the state classes with Hopcroft's partition refinement
+(Hopcroft 1971; Valmari & Lehtinen 2008), in O(k n log n) for n states and
+k letters; since the walk names the classes afterwards, the result does not
+depend on how the refinement numbered them.  Equivalence checks are exact:
+they walk the product automaton and either prove the machines equal or
+return a shortest word witnessing the difference.
 """
 
 from __future__ import annotations
@@ -221,17 +225,21 @@ def output(dfao: Dfao, word: str) -> str:
     return dfao.outputs[run(dfao, word)]
 
 
-def _walk(start: Hashable, alphabet, step, back: dict):
+def _walk(start: Hashable, alphabet, step, back: dict, targets: list | None = None):
     """Nodes reachable from ``start`` under ``step``, breadth-first with
     letters in alphabet order; ``back`` gets a ``(parent, letter)`` pointer
     per node (None at ``start``), from which :func:`_word` reads the
-    shortlex-least word reaching it."""
+    shortlex-least word reaching it.  ``targets``, when given, gets every
+    ``step`` result in call order: the successors of each node, in alphabet
+    order, node after node."""
     back[start] = None
     order = [start]
     for node in order:
         yield node
         for letter in alphabet:
             nxt = step(node, letter)
+            if targets is not None:
+                targets.append(nxt)
             if nxt not in back:
                 back[nxt] = (node, letter)
                 order.append(nxt)
@@ -267,10 +275,12 @@ def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tu
     ``q0, q1, ...`` in that order, which makes every construction built on
     this helper deterministic.  Each state observes ``observe(node)``, as
     acceptance or as output letter."""
-    order = list(_walk(start, alphabet, step, {}))
+    targets: list = []
+    order = list(_walk(start, alphabet, step, {}, targets))
     names = {node: f"q{i}" for i, node in enumerate(order)}
     states = tuple(names.values())
-    transitions = {(names[node], a): names[step(node, a)] for node in order for a in alphabet}
+    edges = ((name, a) for name in states for a in alphabet)
+    transitions = dict(zip(edges, map(names.__getitem__, targets)))
     if kind is Dfa:
         accepting = frozenset(names[node] for node in order if observe(node))
         return Dfa(alphabet, states, states[0], accepting, transitions), order
@@ -278,38 +288,102 @@ def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tu
     return Dfao(alphabet, states, states[0], transitions, outputs), order
 
 
-def _index_by(order, key: Callable) -> dict:
-    ids: dict = {}
-    out = {}
-    for item in order:
-        k = key(item)
-        if k not in ids:
-            ids[k] = len(ids)
-        out[item] = ids[k]
-    return out
+def _refine(order, alphabet, delta, observe: Callable) -> list[int]:
+    """Block number of each state of ``order`` in the coarsest partition
+    that respects the observation and is stable under every letter.
+
+    Hopcroft's algorithm (Hopcroft 1971, "An n log n algorithm for
+    minimizing states in a finite automaton"), on the flat block and
+    splitter arrays of Valmari & Lehtinen 2008 (arXiv:0802.2826): the
+    states of each block sit in one slice ``elems[first[b]:end[b]]``, and
+    those marked by the current splitter are swapped to its front, up to
+    ``mid[b]``.  When a block splits, both halves must wait as splitters
+    if the block was waiting; otherwise the smaller half suffices.  So each
+    state is handed over as a splitter O(log n) times, and the whole
+    refinement costs O(k n log n) for n states and k letters.
+    """
+    n = len(order)
+    index = {state: i for i, state in enumerate(order)}
+    preds = []
+    for letter in alphabet:
+        into = [[] for _ in range(n)]
+        for i, state in enumerate(order):
+            into[index[delta[state, letter]]].append(i)
+        preds.append(into)
+
+    buckets: dict = {}
+    for i, state in enumerate(order):
+        buckets.setdefault(observe(state), []).append(i)
+    block = [0] * n
+    elems, first, end = [], [], []
+    for b, members in enumerate(buckets.values()):
+        first.append(len(elems))
+        elems += members
+        end.append(len(elems))
+        for i in members:
+            block[i] = b
+    loc = [0] * n
+    for pos, i in enumerate(elems):
+        loc[i] = pos
+    mid = first[:]
+    # Stability under all blocks but one implies stability under the last.
+    largest = max(range(len(first)), key=lambda b: end[b] - first[b])
+    waiting = [b != largest for b in range(len(first))]
+    pending = [b for b in range(len(first)) if waiting[b]]
+
+    while pending:
+        splitter = pending.pop()
+        waiting[splitter] = False
+        members = elems[first[splitter]:end[splitter]]
+        for into in preds:
+            touched = []
+            for target in members:
+                for i in into[target]:
+                    b = block[i]
+                    m = mid[b]
+                    if m == first[b]:
+                        touched.append(b)
+                    pos = loc[i]
+                    other = elems[m]
+                    elems[pos], loc[other] = other, pos
+                    elems[m], loc[i] = i, m
+                    mid[b] = m + 1
+            for b in touched:
+                m = mid[b]
+                if m == end[b]:
+                    mid[b] = first[b]
+                    continue
+                # The marked front of b becomes a new block.
+                new = len(first)
+                first.append(first[b])
+                end.append(m)
+                mid.append(first[b])
+                waiting.append(False)
+                first[b] = mid[b] = m
+                for pos in range(first[new], m):
+                    block[elems[pos]] = new
+                half = new if waiting[b] or m - first[new] <= end[b] - m else b
+                waiting[half] = True
+                pending.append(half)
+    return block
 
 
 def _minimize(machine: Machine) -> Machine:
     """Coarsest congruence on the reachable states that respects the
     observation, materialized with canonical names.
 
-    Classic Moore partition refinement: split by the observation, then
-    repeatedly split by successor classes until stable.  One representative
-    per class supplies the transitions and the observation of the result.
+    :func:`_refine` finds the classes with Hopcroft's partition refinement
+    (Hopcroft 1971; Valmari & Lehtinen 2008); one representative per class
+    supplies the transitions and the observation of the result.  The
+    numbering of the classes leaves no trace: :func:`_build` names the
+    states ``q0, q1, ...`` in breadth-first order from the initial class,
+    so the result, and every dump of it, depends only on the language.
     """
     observe = _observer(machine)
     order = reachable_states(machine)
     alphabet = machine.alphabet
     delta = machine.transitions
-    classes = _index_by(order, observe)
-    while True:
-        refined = _index_by(
-            order, lambda s: (classes[s], *(classes[delta[s, a]] for a in alphabet))
-        )
-        stable = len(set(refined.values())) == len(set(classes.values()))
-        classes = refined
-        if stable:
-            break
+    classes = dict(zip(order, _refine(order, alphabet, delta, observe)))
     reps = {}
     for state in order:
         reps.setdefault(classes[state], state)

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers: checked-in machines, seeded random machines,
-and a brute-force word enumerator used as the oracle for shortlex indexing."""
+the mod-N letter counters, a brute-force word enumerator used as the oracle
+for shortlex indexing, and Moore's refinement as the reference for
+minimization."""
 
 import itertools
 import random
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from autoseq import Dfa, Dfao, load
+from autoseq.automata import _build, _observer, reachable_states
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -58,6 +61,56 @@ def random_dfao(rng: random.Random, max_states=6, alphabet=("0", "1"), letters=(
         },
         outputs={state: rng.choice(letters) for state in states},
     )
+
+
+def mod_counter(modulus: int) -> Dfa:
+    """Accepts the words whose count of ``a`` is 0 mod ``modulus``.  Its
+    compiled machine reaches the bound of modulus**2 + 1 states, and no two
+    of them merge."""
+    states = tuple(f"c{r}" for r in range(modulus))
+    transitions = {(states[r], "a"): states[(r + 1) % modulus] for r in range(modulus)}
+    transitions.update({(state, "b"): state for state in states})
+    return Dfa(("a", "b"), states, states[0], frozenset({states[0]}), transitions)
+
+
+def _index_by(order, key):
+    ids = {}
+    out = {}
+    for item in order:
+        k = key(item)
+        if k not in ids:
+            ids[k] = len(ids)
+        out[item] = ids[k]
+    return out
+
+
+def moore_minimize(machine):
+    """Reference for ``minimize`` and ``minimize_dfao``: Moore's partition
+    refinement, which splits by the observation and then re-keys every
+    reachable state by its class and its successors' classes until a round
+    splits nothing.  It shares with the library only the reachable states,
+    the observation and the canonical naming of the result."""
+    observe = _observer(machine)
+    order = reachable_states(machine)
+    alphabet = machine.alphabet
+    delta = machine.transitions
+    classes = _index_by(order, observe)
+    while True:
+        refined = _index_by(
+            order, lambda s: (classes[s], *(classes[delta[s, a]] for a in alphabet))
+        )
+        stable = len(set(refined.values())) == len(set(classes.values()))
+        classes = refined
+        if stable:
+            break
+    reps = {}
+    for state in order:
+        reps.setdefault(classes[state], state)
+
+    def step(cls, letter):
+        return classes[delta[reps[cls], letter]]
+
+    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
 
 
 @pytest.fixture(scope="session")

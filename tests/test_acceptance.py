@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks with pinned expected values.
+"""Acceptance gate: eleven end-to-end checks with pinned expected values.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion, including the elapsed time for the budgeted ones.
@@ -29,7 +29,7 @@ from autoseq import (
     to_digits,
 )
 from autoseq.cli import main
-from conftest import MACHINES, random_dfa
+from conftest import MACHINES, mod_counter, random_dfa
 
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
@@ -169,3 +169,14 @@ def test_criterion_10_leading_zero_invariance(no_bb, thue_morse, paperfold, no_b
                 expected = output(machine, numeral)
                 for padding in range(1, 9):
                     assert output(machine, "0" * padding + numeral) == expected
+
+
+def test_criterion_11_mod_100_counter_split_and_glue():
+    with criterion(11, "split and glue the mod-100 letter counter, 10001 states, under 4s"):
+        dfa = mod_counter(100)
+        started = time.perf_counter()
+        glued = glue(*split_dfa(dfa))
+        elapsed = time.perf_counter() - started
+        assert len(glued.states) == 100 * 100 + 1
+        assert dfao_equivalent(glued, compile_dfa(dfa))
+        assert elapsed < 4.0, f"took {elapsed:.2f}s"

@@ -26,7 +26,7 @@ from autoseq import (
     validate,
 )
 from autoseq.automata import reachable_states
-from conftest import random_dfa, random_dfao, words_in_order
+from conftest import moore_minimize, random_dfa, random_dfao, words_in_order
 
 
 def two_sinks():
@@ -194,6 +194,17 @@ def test_minimize_dfao_random_machines():
         small = minimize_dfao(dfao)
         assert dfao_equivalent(dfao, small)
         assert len(small.states) <= len(reachable_states(dfao))
+
+
+def test_minimization_matches_the_moore_reference_on_larger_machines():
+    # Blocks that split while they wait as splitters show up from about
+    # twenty states on; the generated cases of test_properties stay smaller.
+    rng = random.Random(303)
+    for _ in range(300):
+        dfa = random_dfa(rng, max_states=40)
+        assert minimize(dfa) == moore_minimize(dfa)
+        dfao = random_dfao(rng, max_states=40, alphabet=("a", "b"), letters=("x", "y", "z"))
+        assert minimize_dfao(dfao) == moore_minimize(dfao)
 
 
 def test_equivalence_is_exact(no_bb, no_bb_ones, no_bb_zeros):

@@ -26,7 +26,8 @@ from autoseq import (
     to_digits,
     union,
 )
-from conftest import NO_BB_PREFIX, random_dfa
+from autoseq import automata, compiler
+from conftest import NO_BB_PREFIX, mod_counter, random_dfa
 
 
 # Exact dumps for no_bb: minimized machines are named q0, q1, ... in
@@ -170,6 +171,42 @@ def test_compiled_state_count_is_bounded():
         dfa = random_dfa(rng)
         raw = compile_dfa(dfa, minimize=False)
         assert len(raw.states) <= len(dfa.states) ** 2 + 1
+
+
+@pytest.mark.parametrize("modulus", [*range(2, 13), 48])
+def test_mod_counters_reach_the_bound_and_split_glue_gives_them_back(modulus):
+    dfa = mod_counter(modulus)
+    compiled = compile_dfa(dfa)
+    assert len(compiled.states) == modulus**2 + 1
+    assert dump(glue(*split_dfa(dfa))) == dump(compiled)
+
+
+def test_every_construction_steps_once_per_edge(monkeypatch):
+    build = automata._build
+    counts = []
+
+    def counting(kind, start, alphabet, step, observe):
+        calls = 0
+
+        def counted(node, letter):
+            nonlocal calls
+            calls += 1
+            return step(node, letter)
+
+        machine, order = build(kind, start, alphabet, counted, observe)
+        counts.append((calls, len(machine.states) * len(alphabet)))
+        return machine, order
+
+    ones, zeros = split_dfa(mod_counter(12))
+    monkeypatch.setattr(automata, "_build", counting)
+    monkeypatch.setattr(compiler, "_build", counting)
+    compile_dfa(mod_counter(48), minimize=False)
+    assert counts == [(2 * 2305, 2 * 2305)]
+    counts.clear()
+    glue(ones, zeros)
+    # Four products for the partition checks, the raw machine, its minimization.
+    assert len(counts) == 6
+    assert all(calls == edges for calls, edges in counts)
 
 
 def test_compiled_states_track_word_pairs(no_bb):

@@ -1,6 +1,7 @@
 """Property-based checks on generated machines: the file format round-trips,
-parsing fails only with FormatError, minimization is canonical, and
-split-then-glue gives back the compiled machine."""
+parsing fails only with FormatError, minimization is canonical and agrees
+with Moore's refinement, and split-then-glue gives back the compiled
+machine."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from autoseq import (
     parse,
     split_dfa,
 )
+from conftest import moore_minimize
 
 # Seeded and without an example database, so every run checks the same cases.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -41,6 +43,30 @@ def automata(draw, kind, alphabets=st.lists(CHARACTER, min_size=1, max_size=3, u
     if kind is Dfa:
         return Dfa(alphabet, states, initial, draw(st.frozensets(target)), transitions)
     return Dfao(alphabet, states, initial, transitions, {state: draw(TOKEN) for state in states})
+
+
+@st.composite
+def refinable(draw, kind):
+    """Machines over 1 to 3 letters with at most 3 observations, some states
+    that copy another state's row and observation, and some that nothing
+    reaches: the cases that minimization merges or drops."""
+    alphabet = tuple("abc"[: draw(st.integers(1, 3))])
+    core = [f"s{i}" for i in range(draw(st.integers(1, 8)))]
+    twins = {f"t{i}": draw(st.sampled_from(core)) for i in range(draw(st.integers(0, 3)))}
+    orphans = [f"u{i}" for i in range(draw(st.integers(0, 2)))]
+    states = core + list(twins) + orphans
+    reached = st.sampled_from(core + list(twins))
+    transitions = {(state, letter): draw(reached) for state in core for letter in alphabet}
+    for twin, state in twins.items():
+        transitions.update({(twin, letter): transitions[state, letter] for letter in alphabet})
+    transitions.update({(state, letter): draw(st.sampled_from(states)) for state in orphans for letter in alphabet})
+    shown = st.sampled_from("xyz"[: draw(st.integers(1, 3))])
+    observed = {state: draw(shown) for state in core + orphans}
+    observed.update({twin: observed[state] for twin, state in twins.items()})
+    initial = draw(st.sampled_from(core))
+    if kind is Dfa:
+        return Dfa(alphabet, states, initial, frozenset(s for s in states if observed[s] == "x"), transitions)
+    return Dfao(alphabet, states, initial, transitions, observed)
 
 
 @st.composite
@@ -96,6 +122,18 @@ def test_minimize_dfao_is_idempotent_and_keeps_the_outputs(dfao):
     small = minimize_dfao(dfao)
     assert minimize_dfao(small) == small
     assert dfao_equivalent(small, dfao)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(refinable(Dfa), automata(Dfa)))
+def test_minimize_matches_the_moore_reference(dfa):
+    assert minimize(dfa) == moore_minimize(dfa)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(refinable(Dfao), automata(Dfao)))
+def test_minimize_dfao_matches_the_moore_reference(dfao):
+    assert minimize_dfao(dfao) == moore_minimize(dfao)
 
 
 @PROPERTY
