@@ -13,12 +13,13 @@ searches: it builds every machine (minimization, the pair products of the
 boolean operations, the compiler and glue), naming states q0, q1, ... in
 the order it reaches them and stepping once per state and letter, and its
 back-pointers give shortest accepted words and shortest counterexamples.
-Minimization finds the state classes with Hopcroft's partition refinement
-(Hopcroft 1971; Valmari & Lehtinen 2008), in O(k n log n) for n states and
-k letters; since the walk names the classes afterwards, the result does not
-depend on how the refinement numbered them.  Equivalence checks are exact:
-they walk the product automaton and either prove the machines equal or
-return a shortest word witnessing the difference.
+Minimization walks the implicit graph a build would take, without building
+it: Hopcroft's partition refinement (Hopcroft 1971; Valmari & Lehtinen
+2008) finds the classes on the walk's successor indices in O(k n log n) for
+n nodes and k letters, and a build names the classes afterwards, so the
+result does not depend on how the refinement numbered them.  Equivalence
+checks are exact: they walk the product automaton and either prove the
+machines equal or return a shortest word witnessing the difference.
 """
 
 from __future__ import annotations
@@ -288,32 +289,27 @@ def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tu
     return Dfao(alphabet, states, states[0], transitions, outputs), order
 
 
-def _refine(order, alphabet, delta, observe: Callable) -> list[int]:
-    """Block number of each state of ``order`` in the coarsest partition
-    that respects the observation and is stable under every letter.
+def _refine(succ: list[int], k: int, observed: list) -> list[int]:
+    """Block number of each of the ``len(observed)`` nodes in the coarsest
+    partition that respects ``observed`` and is stable under every letter;
+    ``succ[i * k + j]`` is the successor of node ``i`` under letter ``j``.
 
-    Hopcroft's algorithm (Hopcroft 1971, "An n log n algorithm for
-    minimizing states in a finite automaton"), on the flat block and
-    splitter arrays of Valmari & Lehtinen 2008 (arXiv:0802.2826): the
-    states of each block sit in one slice ``elems[first[b]:end[b]]``, and
-    those marked by the current splitter are swapped to its front, up to
-    ``mid[b]``.  When a block splits, both halves must wait as splitters
+    The states of each block sit in one slice ``elems[first[b]:end[b]]``,
+    and those marked by the current splitter are swapped to its front, up
+    to ``mid[b]``.  When a block splits, both halves must wait as splitters
     if the block was waiting; otherwise the smaller half suffices.  So each
     state is handed over as a splitter O(log n) times, and the whole
     refinement costs O(k n log n) for n states and k letters.
     """
-    n = len(order)
-    index = {state: i for i, state in enumerate(order)}
-    preds = []
-    for letter in alphabet:
-        into = [[] for _ in range(n)]
-        for i, state in enumerate(order):
-            into[index[delta[state, letter]]].append(i)
-        preds.append(into)
+    n = len(observed)
+    preds = [[[] for _ in range(n)] for _ in range(k)]
+    for j, into in enumerate(preds):
+        for i, target in enumerate(succ[j::k]):
+            into[target].append(i)
 
     buckets: dict = {}
-    for i, state in enumerate(order):
-        buckets.setdefault(observe(state), []).append(i)
+    for i, seen in enumerate(observed):
+        buckets.setdefault(seen, []).append(i)
     block = [0] * n
     elems, first, end = [], [], []
     for b, members in enumerate(buckets.values()):
@@ -368,30 +364,42 @@ def _refine(order, alphabet, delta, observe: Callable) -> list[int]:
     return block
 
 
-def _minimize(machine: Machine) -> Machine:
-    """Coarsest congruence on the reachable states that respects the
-    observation, materialized with canonical names.
+def _minimal(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
+    """Minimal machine of ``kind`` for the graph that :func:`_build` would
+    materialize from the same arguments, without materializing it.
 
-    :func:`_refine` finds the classes with Hopcroft's partition refinement
-    (Hopcroft 1971; Valmari & Lehtinen 2008); one representative per class
-    supplies the transitions and the observation of the result.  The
-    numbering of the classes leaves no trace: :func:`_build` names the
-    states ``q0, q1, ...`` in breadth-first order from the initial class,
-    so the result, and every dump of it, depends only on the language.
+    One :func:`_walk` lists the reachable nodes and their successors, and
+    :func:`_refine` finds the classes on those index lists with Hopcroft's
+    partition refinement (Hopcroft 1971, "An n log n algorithm for
+    minimizing states in a finite automaton"), on the flat block and
+    splitter arrays of Valmari & Lehtinen 2008 (arXiv:0802.2826).  Any
+    member of a class can supply its transitions and observation, as all
+    members agree on both.  The numbering of the classes leaves no trace:
+    :func:`_build` names the states ``q0, q1, ...`` in breadth-first order
+    from the initial class, so the result, and every dump of it, depends
+    only on the language.
     """
-    observe = _observer(machine)
-    order = reachable_states(machine)
-    alphabet = machine.alphabet
+    targets: list = []
+    order = list(_walk(start, alphabet, step, {}, targets))
+    index = {node: i for i, node in enumerate(order)}
+    succ = [index[node] for node in targets]
+    observed = [observe(node) for node in order]
+    k = len(alphabet)
+    block = _refine(succ, k, observed)
+    reps = {b: i for i, b in enumerate(block)}
+    column = {letter: j for j, letter in enumerate(alphabet)}
+
+    def step_class(b, letter):
+        return block[succ[reps[b] * k + column[letter]]]
+
+    return _build(kind, block[0], alphabet, step_class, lambda b: observed[reps[b]])[0]
+
+
+def _minimize(machine: Machine) -> Machine:
+    """The minimal machine for what ``machine`` observes, by :func:`_minimal`."""
     delta = machine.transitions
-    classes = dict(zip(order, _refine(order, alphabet, delta, observe)))
-    reps = {}
-    for state in order:
-        reps.setdefault(classes[state], state)
-
-    def step(cls, letter):
-        return classes[delta[reps[cls], letter]]
-
-    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
+    graph = machine.initial, machine.alphabet, lambda s, a: delta[s, a]
+    return _minimal(type(machine), *graph, _observer(machine))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -419,20 +427,19 @@ def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
 
 
 def _pairs(m1: Machine, m2: Machine):
-    """Start pair and step function of the product of two machines."""
+    """Start pair, alphabet and step function of the product of two machines."""
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         raise ValueError(
             f"alphabet mismatch: {' '.join(m1.alphabet)!r} vs {' '.join(m2.alphabet)!r}"
         )
     t1, t2 = m1.transitions, m2.transitions
-    return (m1.initial, m2.initial), lambda pair, letter: (t1[pair[0], letter], t2[pair[1], letter])
+    return (m1.initial, m2.initial), m1.alphabet, lambda pair, a: (t1[pair[0], a], t2[pair[1], a])
 
 
 def _distinguish(m1: Machine, m2: Machine) -> str | None:
     """Shortest word after which the two machines observe differently."""
-    start, step = _pairs(m1, m2)
     o1, o2 = _observer(m1), _observer(m2)
-    return _shortest(start, m1.alphabet, step, lambda pair: o1(pair[0]) != o2(pair[1]))
+    return _shortest(*_pairs(m1, m2), lambda pair: o1(pair[0]) != o2(pair[1]))
 
 
 def counterexample(d1: Dfa, d2: Dfa) -> str | None:
@@ -460,9 +467,8 @@ def dfao_equivalent(d1: Dfao, d2: Dfao) -> bool:
 def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool]) -> Dfa:
     """DFA on the reachable state pairs, accepting where ``keep`` holds for
     the observations of the two machines."""
-    start, step = _pairs(m1, m2)
     o1, o2 = _observer(m1), _observer(m2)
-    return _build(Dfa, start, m1.alphabet, step, lambda pair: keep(o1(pair[0]), o2(pair[1])))[0]
+    return _build(Dfa, *_pairs(m1, m2), lambda pair: keep(o1(pair[0]), o2(pair[1])))[0]
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:

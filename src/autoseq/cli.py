@@ -112,7 +112,11 @@ def cmd_split(args, dfa) -> int:
 
 def cmd_glue(args) -> int:
     with _load(args.ones, Dfa) as ones, _load(args.zeros, Dfa) as zeros:
-        _emit(formats.dump(compiler.glue(ones, zeros)), args.output)
+        try:
+            glued = compiler.glue(ones, zeros)
+        except compiler.PartitionError as exc:
+            raise ValueError(f"{args.ones}, {args.zeros}: {exc}") from None
+        _emit(formats.dump(glued), args.output)
         return 0
 
 

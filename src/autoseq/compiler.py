@@ -16,19 +16,7 @@ and ``glue`` reassembles an output machine from two such recognizers.
 
 from __future__ import annotations
 
-from .automata import (
-    Dfa,
-    Dfao,
-    _AlphabetError,
-    _build,
-    _product,
-    difference,
-    intersection,
-    minimize,
-    minimize_dfao,
-    shortest_accepted,
-    union,
-)
+from .automata import Dfa, Dfao, _AlphabetError, _build, _minimal, _minimize, _pairs, _walk, _word
 from .charseq import char_seq, output_seq
 from .numeration import _check_natural
 
@@ -69,7 +57,7 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
     """Base-2 output machine computing the characteristic sequence of L(dfa)."""
     compiled, _ = compile_dfa_with_pairs(dfa)
-    return minimize_dfao(compiled) if minimize else compiled
+    return _minimize(compiled) if minimize else compiled
 
 
 def canonical_recognizer() -> Dfa:
@@ -91,17 +79,19 @@ def canonical_recognizer() -> Dfa:
     )
 
 
-def _filter_by_output(compiled: Dfao, letter: str) -> Dfa:
-    return _product(compiled, canonical_recognizer(), lambda out, canonical: out == letter and canonical)
-
-
 def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
     """Minimal recognizers for the canonical numerals of the 1-positions and
     the 0-positions of the characteristic sequence of L(dfa)."""
     compiled = compile_dfa(dfa)
-    ones = minimize(_filter_by_output(compiled, "1"))
-    zeros = minimize(_filter_by_output(compiled, "0"))
-    return ones, zeros
+    canonical = canonical_recognizer()
+
+    def numerals(letter):
+        def observe(pair):
+            return compiled.outputs[pair[0]] == letter and pair[1] in canonical.accepting
+
+        return _minimal(Dfa, *_pairs(compiled, canonical), observe)
+
+    return numerals("1"), numerals("0")
 
 
 class PartitionError(ValueError):
@@ -127,26 +117,35 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
     and the 0-positions.
 
     Both inputs must read the digits 0, 1 and their languages must split
-    the canonical numerals exactly; otherwise :class:`PartitionError`
-    reports a shortest witness.  The product of the two recognizers gets
-    its initial 0-transition redirected into a self-loop so that leading
-    zeros leave the machine in place, then each reachable product state is
-    labeled by which side accepts there.
+    the canonical numerals exactly.  One breadth-first search over ones x
+    zeros x canonical numerals decides that and builds nothing; when it
+    fails, :class:`PartitionError` reports the first reason in ``_DETAILS``
+    order, with its shortest witness.  The product of the two recognizers
+    gets its initial 0-transition redirected into a self-loop so that
+    leading zeros leave the machine in place, then each reachable product
+    state is labeled by which side accepts there.
     """
     for machine in (ones, zeros):
         if tuple(machine.alphabet) != ("0", "1"):
             raise _AlphabetError(machine, "glue expects machines over the digits '0 1'")
 
-    witness = shortest_accepted(intersection(ones, zeros))
-    if witness is not None:
-        raise PartitionError("overlap", witness)
-    both = union(ones, zeros)
-    witness = shortest_accepted(difference(canonical_recognizer(), both))
-    if witness is not None:
-        raise PartitionError("uncovered", witness)
-    witness = shortest_accepted(difference(both, canonical_recognizer()))
-    if witness is not None:
-        raise PartitionError("noncanonical", witness)
+    machines = (ones, zeros, canonical_recognizer())
+
+    def step_all(states, digit):
+        return tuple(m.transitions[state, digit] for m, state in zip(machines, states))
+
+    back: dict = {}
+    found: dict = {}
+    for states in _walk(tuple(m.initial for m in machines), ("0", "1"), step_all, back):
+        in_ones, in_zeros, canonical = (state in m.accepting for m, state in zip(machines, states))
+        # An overlap can come with a non-canonical word, and it outranks it.
+        if in_ones and in_zeros:
+            found.setdefault("overlap", states)
+        elif canonical != (in_ones or in_zeros):
+            found.setdefault("uncovered" if canonical else "noncanonical", states)
+    for reason in PartitionError._DETAILS:
+        if reason in found:
+            raise PartitionError(reason, _word(back, found[reason]))
 
     startpair = (ones.initial, zeros.initial)
 
@@ -165,7 +164,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             )
         return "1" if in_ones else "0"
 
-    return minimize_dfao(_build(Dfao, startpair, ("0", "1"), step, label)[0])
+    return _minimal(Dfao, startpair, ("0", "1"), step, label)
 
 
 def first_mismatch(dfa: Dfa, count: int) -> int | None:

@@ -107,7 +107,10 @@ def test_glue(tmp_path, capsys, no_bb_fao):
 
 def test_glue_reports_partition_failures(capsys):
     assert main(["glue", ONES, ONES]) == 1
-    assert "not a partition" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {ONES}, {ONES}: not a partition of the canonical numerals: "
+        "both languages contain 'the empty word'\n"
+    )
 
 
 def test_pipeline_split_glue_compile(tmp_path, capsys):

@@ -12,6 +12,7 @@ from autoseq import (
     compile_dfa,
     compile_dfa_with_pairs,
     dfao_equivalent,
+    difference,
     dump,
     equivalent,
     first_mismatch,
@@ -21,6 +22,7 @@ from autoseq import (
     output,
     output_seq,
     run,
+    shortest_accepted,
     shortlex_word,
     split_dfa,
     to_digits,
@@ -182,31 +184,53 @@ def test_mod_counters_reach_the_bound_and_split_glue_gives_them_back(modulus):
 
 
 def test_every_construction_steps_once_per_edge(monkeypatch):
-    build = automata._build
     counts = []
 
-    def counting(kind, start, alphabet, step, observe):
-        calls = 0
+    def counting(walk):
+        def counted_walk(kind, start, alphabet, step, observe):
+            edges = []
 
-        def counted(node, letter):
-            nonlocal calls
-            calls += 1
-            return step(node, letter)
+            def counted(node, letter):
+                edges.append((node, letter))
+                return step(node, letter)
 
-        machine, order = build(kind, start, alphabet, counted, observe)
-        counts.append((calls, len(machine.states) * len(alphabet)))
-        return machine, order
+            result = walk(kind, start, alphabet, counted, observe)
+            nodes = {node for node, _ in edges}
+            counts.append((len(edges), len(set(edges)), len(nodes) * len(alphabet)))
+            return result
+
+        return counted_walk
 
     ones, zeros = split_dfa(mod_counter(12))
-    monkeypatch.setattr(automata, "_build", counting)
-    monkeypatch.setattr(compiler, "_build", counting)
+    build, minimal = counting(automata._build), counting(automata._minimal)
+    for module in (automata, compiler):
+        monkeypatch.setattr(module, "_build", build)
+        monkeypatch.setattr(module, "_minimal", minimal)
     compile_dfa(mod_counter(48), minimize=False)
-    assert counts == [(2 * 2305, 2 * 2305)]
+    assert counts == [(2 * 2305, 2 * 2305, 2 * 2305)]
     counts.clear()
     glue(ones, zeros)
-    # Four products for the partition checks, the raw machine, its minimization.
-    assert len(counts) == 6
-    assert all(calls == edges for calls, edges in counts)
+    # The walk of the redirected pair graph, and the build of its classes.
+    assert len(counts) == 2
+    split_dfa(mod_counter(12))
+    assert all(calls == distinct == edges for calls, distinct, edges in counts)
+
+
+def test_constructions_validate_only_what_they_return(monkeypatch):
+    dfa = mod_counter(12)
+    ones, zeros = split_dfa(dfa)
+    validate = automata.validate
+    validated = []
+    monkeypatch.setattr(automata, "validate", lambda machine: validated.append(machine) or validate(machine))
+    # compile: the raw machine (which compile_dfa_with_pairs returns) and its
+    # minimization; split: that, the canonical recognizer and the two
+    # results; glue: the canonical recognizer and the result.
+    counts = []
+    for operation in (lambda: compile_dfa(dfa), lambda: split_dfa(dfa), lambda: glue(ones, zeros)):
+        validated.clear()
+        operation()
+        counts.append(len(validated))
+    assert counts == [2, 5, 2]
 
 
 def test_compiled_states_track_word_pairs(no_bb):
@@ -328,6 +352,63 @@ def test_glue_rejects_non_canonical_words(no_bb_zeros):
         glue(everything, nothing)
     assert err.value.reason == "noncanonical"
     assert err.value.witness == "0"
+
+
+def four_product_verdict(ones, zeros):
+    """The partition check as four product DFAs: the first nonempty one in
+    priority order, with its shortest word."""
+    canon = canonical_recognizer()
+    both = union(ones, zeros)
+    for reason, language in (
+        ("overlap", intersection(ones, zeros)),
+        ("uncovered", difference(canon, both)),
+        ("noncanonical", difference(both, canon)),
+    ):
+        witness = shortest_accepted(language)
+        if witness is not None:
+            return reason, witness
+    return None
+
+
+def glue_verdict(ones, zeros):
+    try:
+        glue(ones, zeros)
+    except PartitionError as err:
+        return err.reason, err.witness
+    return None
+
+
+def exactly(word):
+    """DFA over the digits accepting ``word`` alone."""
+    states = [f"p{i}" for i in range(len(word) + 1)] + ["dead"]
+    transitions = {(state, digit): "dead" for state in states for digit in "01"}
+    transitions.update({(f"p{i}", digit): f"p{i + 1}" for i, digit in enumerate(word)})
+    return Dfa(("0", "1"), states, "p0", {states[len(word)]}, transitions)
+
+
+def test_glue_verdicts_match_the_four_products():
+    rng = random.Random(444)
+    pairs = [tuple(random_dfa(rng, 4, ("0", "1")) for _ in range(2)) for _ in range(1500)]
+    for _ in range(100):
+        ones, zeros = split_dfa(random_dfa(rng))
+        flip = rng.choice([ones, zeros])
+        state = rng.choice(flip.states)
+        flipped = replace(flip, accepting=flip.accepting ^ {state})
+        pairs.append((flipped, zeros) if flip is ones else (ones, flipped))
+    verdicts = [glue_verdict(ones, zeros) for ones, zeros in pairs]
+    assert verdicts == [four_product_verdict(ones, zeros) for ones, zeros in pairs]
+    assert {verdict[0] for verdict in verdicts if verdict} == {"overlap", "uncovered", "noncanonical"}
+
+
+def test_glue_reports_reasons_in_priority_order():
+    nothing = difference(exactly(""), exactly(""))
+    # "" is uncovered, but the longer overlap "11" comes first.
+    assert glue_verdict(exactly("11"), exactly("11")) == ("overlap", "11")
+    # "0" is not canonical, but the longer gap "11" comes first.
+    ones = difference(union(canonical_recognizer(), exactly("0")), exactly("11"))
+    assert glue_verdict(ones, nothing) == ("uncovered", "11")
+    for ones, zeros in ((exactly("11"), exactly("11")), (ones, nothing)):
+        assert glue_verdict(ones, zeros) == four_product_verdict(ones, zeros)
 
 
 def test_glue_requires_digit_machines(no_bb):

@@ -1,7 +1,7 @@
 """Property-based checks on generated machines: the file format round-trips,
 parsing fails only with FormatError, minimization is canonical and agrees
-with Moore's refinement, and split-then-glue gives back the compiled
-machine."""
+with Moore's refinement, compile and split give the machines their
+definitions build, and split-then-glue gives back the compiled machine."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +11,13 @@ from autoseq import (
     Dfao,
     FormatError,
     TagSystem,
+    canonical_recognizer,
     compile_dfa,
     dfao_equivalent,
     dump,
     equivalent,
     glue,
+    intersection,
     minimize,
     minimize_dfao,
     parse,
@@ -139,4 +141,20 @@ def test_minimize_dfao_matches_the_moore_reference(dfao):
 @PROPERTY
 @given(automata(Dfa, st.just(("a", "b"))))
 def test_glue_undoes_split(dfa):
-    assert dfao_equivalent(glue(*split_dfa(dfa)), compile_dfa(dfa))
+    glued = glue(*split_dfa(dfa))
+    assert dfao_equivalent(glued, compile_dfa(dfa))
+    assert glued == compile_dfa(dfa)
+
+
+@PROPERTY
+@given(automata(Dfa, st.just(("a", "b"))))
+def test_constructions_equal_their_definitions(dfa):
+    """The compiled and split machines equal their definitions: the raw
+    machine, or its product with the canonical numerals, built and then
+    minimized."""
+    compiled = compile_dfa(dfa)
+    assert compiled == minimize_dfao(compile_dfa(dfa, minimize=False))
+    for letter, machine in zip("10", split_dfa(dfa)):
+        shows = frozenset(state for state, out in compiled.outputs.items() if out == letter)
+        read = Dfa(compiled.alphabet, compiled.states, compiled.initial, shows, compiled.transitions)
+        assert machine == minimize(intersection(read, canonical_recognizer()))
