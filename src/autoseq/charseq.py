@@ -4,9 +4,10 @@ For a language L over a two-letter alphabet, entry n of the characteristic
 sequence is 1 exactly when the n-th word in shortlex order belongs to L.
 :func:`char_seq` evaluates that definition directly on a recognizer, one
 word at a time: it lists the words of each length in dictionary order and
-runs every one from the initial state.  It is the slow, obviously-correct
-reference against which the compiled machines are checked, so it shares
-no work between words and none of the compiler's index arithmetic.
+runs every one from the initial state, through one successor list per
+letter.  It is the slow, obviously-correct reference against which the
+compiled machines are checked, so it shares no work between words and
+none of the compiler's index arithmetic.
 
 :func:`output_seq` runs a digit-reading machine on every index at once:
 it is the coded unfolding of the machine's successor table (the state of
@@ -33,24 +34,25 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
 
     Words come length by length in dictionary order, and each one is run
     from the initial state on its own: a word of length L costs L
-    transitions, with no work shared between words.
+    transitions, with no work shared between words.  The states are
+    numbered, and ``product`` spells each word as a tuple of the letters'
+    successor lists, so a transition is one list lookup.
     """
     if len(dfa.alphabet) != 2:
         raise _AlphabetError(dfa, "characteristic sequences need a two-letter alphabet")
     _check_natural("count", count)
-    delta = dfa.transitions
-    succ = {
-        state: {letter: delta[state, letter] for letter in dfa.alphabet} for state in dfa.states
-    }
-    initial, accepting = dfa.initial, dfa.accepting
+    index = {state: i for i, state in enumerate(dfa.states)}
+    letters = [[index[dfa.transitions[state, letter]] for state in dfa.states] for letter in dfa.alphabet]
+    bit = [1 if state in dfa.accepting else 0 for state in dfa.states]
+    initial = index[dfa.initial]
     bits = []
     length = 0
     while len(bits) < count:
-        for word in islice(product(dfa.alphabet, repeat=length), count - len(bits)):
+        for word in islice(product(letters, repeat=length), count - len(bits)):
             state = initial
             for letter in word:
-                state = succ[state][letter]
-            bits.append(1 if state in accepting else 0)
+                state = letter[state]
+            bits.append(bit[state])
         length += 1
     return bits
 

@@ -64,14 +64,14 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _sequence(terms, args, machine) -> int:
-    """Print the strings ``terms(machine, count)`` on one line, or one
-    ``n value`` pair per line with ``--oeis``."""
-    values = terms(machine, args.count)
+def _sequence(render, args, machine) -> int:
+    """Print the line ``render(machine, count)``, whose terms are separated
+    by spaces, or one ``n term`` pair per line with ``--oeis``."""
+    line = render(machine, args.count)
     if args.oeis:
-        sys.stdout.write("".join(f"{n} {value}\n" for n, value in enumerate(values)))
+        sys.stdout.write("".join(f"{n} {term}\n" for n, term in enumerate(line.split())))
     else:
-        print(" ".join(values))
+        print(line)
     return 0
 
 
@@ -158,9 +158,10 @@ _GROUPS = {"tag": "uniform tag systems", "num": "numeral and word conversions"}
 # tracers can replace them in their modules.
 _COMMANDS = [
     ("seq", "characteristic sequence straight from a recognizer", (Dfa,), _COUNT,
-     partial(_sequence, lambda dfa, count: map(str, charseq.char_seq(dfa, count)))),
+     partial(_sequence, lambda dfa, count: " ".join(map(str, charseq.char_seq(dfa, count))))),
     ("run", "output sequence of a digit machine", (Dfao,), _COUNT,
-     partial(_sequence, lambda dfao, count: charseq.output_seq(dfao, count))),
+     partial(_sequence, lambda dfao, count: tagsystem._render(
+         tagsystem._digit_table(dfao), dfao.initial, count, dfao.outputs))),
     ("compile", "compile a recognizer into a base-2 output machine", (Dfa,),
      (*_OUTPUT, _arg("--no-minimize", action="store_true", help="keep the raw pair construction")),
      partial(_text, lambda dfa, args: formats.dump(compiler.compile_dfa(dfa, not args.no_minimize)))),
@@ -181,9 +182,11 @@ _COMMANDS = [
     ("tag from-dfao", "read a digit machine off as a substitution", (Dfao,), _OUTPUT,
      partial(_text, lambda dfao, args: formats.dump(tagsystem.from_dfao(dfao)))),
     ("tag seq", "coded fixed point of a tag system", (TagSystem,), _COUNT,
-     partial(_sequence, lambda system, count: tagsystem.seq(system, count))),
+     partial(_sequence, lambda system, count: tagsystem._render(
+         system.rules, system.start, count, system.coding))),
     ("tag intseq", "raw fixed point of a tag system", (TagSystem,), _COUNT,
-     partial(_sequence, lambda system, count: tagsystem.intseq(system, count))),
+     partial(_sequence, lambda system, count: tagsystem._render(
+         system.rules, system.start, count, dict(zip(system.symbols, system.symbols))))),
     ("tag check", "check the fixed point and the digit descent agree", (TagSystem,),
      (_arg("--depth", type=int, required=True, help="number of leading symbols to substitute"),),
      cmd_tag_check),

@@ -16,6 +16,9 @@ and ``glue`` reassembles an output machine from two such recognizers.
 
 from __future__ import annotations
 
+from itertools import compress, count as indices
+from operator import ne
+
 from .automata import Dfa, Dfao, _AlphabetError, _build, _minimal, _minimize, _pairs, _walk, _word
 from .charseq import char_seq, output_seq
 from .numeration import _check_natural
@@ -172,10 +175,6 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     word-by-word characteristic sequence, or None if the first ``count``
     entries agree."""
     _check_natural("count", count)
-    compiled = compile_dfa(dfa)
-    got = output_seq(compiled, count)
-    want = char_seq(dfa, count)
-    for n, (bit, expected) in enumerate(zip(got, want)):
-        if int(bit) != expected:
-            return n
-    return None
+    got = output_seq(compile_dfa(dfa), count)
+    want = map(str, char_seq(dfa, count))
+    return next(compress(indices(), map(ne, got, want)), None)

@@ -8,7 +8,9 @@ sequence.  Entry n of the fixed point can also be computed directly by
 walking the base-k digits of n through the rules; both routes are exposed
 so they can be checked against each other.  A digit machine's successor
 table is such a substitution (:func:`from_dfao`), and
-``charseq.output_seq`` is the coded unfolding of that table.
+``charseq.output_seq`` is the coded unfolding of that table.  A printed
+prefix is not coded term by term: each symbol's subtree is rendered once
+as text, and the line joins those blocks (``_render``).
 """
 
 from __future__ import annotations
@@ -108,6 +110,39 @@ def _unfold(table: Mapping[str, tuple[str, ...]], start: str, count: int) -> lis
         read = stop
     del states[count:]
     return states
+
+
+def _render(table: Mapping[str, tuple[str, ...]], start: str, count: int, label: Mapping[str, str]) -> str:
+    """The labels of ``_unfold(table, start, count)``, joined by spaces.
+
+    Entries [n * B, (n + 1) * B) for n >= 1 are the depth-j subtree of entry
+    n, B = k**j, so each symbol's subtree is rendered once per depth from the
+    blocks one depth below; the line is the head [0, B), one block per root
+    and the last root's partial block, built along its digits.  j is the
+    deepest level with B * B <= count and 4 * B * symbols <= count, since a
+    block costs more per label than an unfolded term; when none fits, the
+    labels of one ``_unfold`` are joined as they are.
+    """
+    _check_natural("count", count)
+    base = len(table[start])
+    depth, width = 0, 1
+    while width * base * max(4 * len(table), width * base) <= count:
+        depth, width = depth + 1, width * base
+    if not depth:
+        return " ".join(map(label.__getitem__, _unfold(table, start, count)))
+    blocks = [{symbol: label[symbol] + " " for symbol in table}]
+    for _ in range(depth):
+        below = blocks[-1].__getitem__
+        blocks.append({symbol: "".join(map(below, row)) for symbol, row in table.items()})
+    full, rest = divmod(count, width)
+    roots = _unfold(table, start, full + 1)
+    parts = [*map(blocks[0].__getitem__, roots[:width]), *map(blocks[depth].__getitem__, roots[1:full])]
+    symbol = roots[full]
+    for level in reversed(range(depth)):
+        digit, rest = divmod(rest, base**level)
+        parts += map(blocks[level].__getitem__, table[symbol][:digit])
+        symbol = table[symbol][digit]
+    return "".join(parts)[:-1]
 
 
 def from_dfao(dfao: Dfao) -> TagSystem:

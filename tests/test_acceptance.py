@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end checks with pinned expected values.
+"""Acceptance gate: twelve end-to-end checks with pinned expected values.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion, including the elapsed time for the budgeted ones.
@@ -34,6 +34,7 @@ from conftest import MACHINES, mod_counter, random_dfa
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
 PAPERFOLD = str(MACHINES / "paperfold.aut")
+NO_BB_TAG = str(MACHINES / "no_bb.tag")
 
 NO_BB_25 = "1 1 1 1 1 1 0 1 1 1 0 1 1 0 0 1 1 1 0 1 1 0 0 1 1"
 THUE_MORSE_25 = "0 1 1 0 1 0 0 1 1 0 0 1 0 1 1 0 1 0 0 1 0 1 1 0 0"
@@ -180,3 +181,21 @@ def test_criterion_11_mod_100_counter_split_and_glue():
         assert len(glued.states) == 100 * 100 + 1
         assert dfao_equivalent(glued, compile_dfa(dfa))
         assert elapsed < 4.0, f"took {elapsed:.2f}s"
+
+
+def test_criterion_12_long_prefixes_via_cli(tmp_path, capsys):
+    with criterion(12, "run and tag seq print the same 2**22 no-bb terms, each under 0.25s"):
+        compiled = str(tmp_path / "no_bb.fao")
+        assert main(["compile", NO_BB, "-o", compiled]) == 0
+        lines = []
+        for argv in (["run", compiled], ["tag", "seq", NO_BB_TAG]):
+            started = time.perf_counter()
+            code = main([*argv, "--count", str(1 << 22)])
+            elapsed = time.perf_counter() - started
+            lines.append(capsys.readouterr().out)
+            assert code == 0
+            assert elapsed < 0.25, f"{' '.join(argv[:-1])} took {elapsed:.2f}s"
+        assert lines[0] == lines[1]
+        assert len(lines[0].split()) == 1 << 22
+        assert main(["seq", NO_BB, "--count", "65536"]) == 0
+        assert lines[0].startswith(capsys.readouterr().out[:-1] + " ")

@@ -64,6 +64,25 @@ def test_char_seq_against_enumeration_oracle(no_bb):
         assert char_seq(dfa, 600) == expected
 
 
+def test_char_seq_stays_the_word_by_word_oracle(monkeypatch):
+    # with the compiler, the unfolding and the shortlex arithmetic all
+    # disabled, it still agrees with plain enumeration where lengths change
+    def refuse(*args, **kwargs):
+        raise AssertionError("char_seq used code outside the word-by-word definition")
+
+    for target in ("autoseq.compiler.compile_dfa", "autoseq.tagsystem._unfold", "autoseq.charseq._unfold",
+                   "autoseq.numeration.shortlex_word", "autoseq.numeration.shortlex_index"):
+        monkeypatch.setattr(target, refuse)
+    rng = random.Random(1618)
+    for alphabet in (("b", "a"), ("x", "y")):
+        words = words_in_order(alphabet, 1 << 10)
+        for dfa in [random_dfa(rng, 6, alphabet) for _ in range(6)]:
+            expected = [1 if accepts(dfa, word) else 0 for word in words]
+            for length in range(1, 11):
+                for count in ((1 << length) - 2, (1 << length) - 1, 1 << length):
+                    assert char_seq(dfa, count) == expected[:count]
+
+
 def test_char_seq_matches_the_shortlex_arithmetic():
     # independent of the dictionary-order enumeration char_seq walks: the
     # n-th word comes from the bijective base-2 arithmetic in numeration

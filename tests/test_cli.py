@@ -1,13 +1,27 @@
 import argparse
+import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from autoseq import Dfa, Dfao, TagSystem, dfao_equivalent, equivalent, load
+from autoseq import (
+    Dfa,
+    Dfao,
+    TagSystem,
+    dfao_equivalent,
+    equivalent,
+    from_dfao,
+    intseq,
+    load,
+    output_seq,
+    save,
+    seq,
+)
 from autoseq import cli
 from autoseq.cli import main
-from conftest import MACHINES
+from conftest import MACHINES, random_dfao
 
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
@@ -171,6 +185,45 @@ def test_tag_seq(capsys):
 def test_tag_intseq(capsys):
     assert main(["tag", "intseq", TAG, "--count", "16"]) == 0
     assert capsys.readouterr().out == "q0 q1 q1 q2 q1 q2 q4 q3 q1 q2 q4 q3 q1 q5 q6 q3\n"
+
+
+def _boundary_counts(symbols, base):
+    """Counts around every block width B = base**j (B - 1, B, B + 1, and the
+    counts where a deeper block starts to be used), plus fixed sizes."""
+    counts = {0, 1, base - 1, base, base + 1, (1 << 16) - 1, (1 << 16) + 1, 10**5}
+    width = base
+    while width * max(4 * symbols, width) <= 10**5:
+        deeper = width * max(4 * symbols, width)
+        counts |= {width - 1, width, width + 1, deeper - 1, deeper, deeper + 1}
+        width *= base
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_sequence_lines_at_block_boundaries(tmp_path, capsys, base):
+    rng = random.Random(base)
+    digits = "0123456789"[:base]
+    for states, looped in ((3, False), (3, True), (12, True), (40, True)):
+        dfao = random_dfao(rng, states, digits, ("x", "yy", "z"))
+        while not looped and len(dfao.states) < 2:
+            dfao = random_dfao(rng, states, digits, ("x", "yy", "z"))
+        root = dfao.initial if looped else dfao.states[-1]
+        dfao = replace(dfao, transitions={**dfao.transitions, (dfao.initial, "0"): root})
+        save(dfao, tmp_path / "m.aut")
+        checks = [(["run"], output_seq, dfao, tmp_path / "m.aut")]
+        if looped:
+            system = from_dfao(dfao)
+            save(system, tmp_path / "m.tag")
+            checks += [(["tag", "seq"], seq, system, tmp_path / "m.tag"),
+                       (["tag", "intseq"], intseq, system, tmp_path / "m.tag")]
+        for count in _boundary_counts(len(dfao.states), base):
+            for command, terms, machine, path in checks:
+                want = terms(machine, count)
+                assert main([*command, str(path), "--count", str(count)]) == 0
+                assert capsys.readouterr().out == " ".join(want) + "\n", (command, count)
+                if count <= base**3 + 1:
+                    assert main([*command, str(path), "--count", str(count), "--oeis"]) == 0
+                    assert capsys.readouterr().out == "".join(f"{n} {t}\n" for n, t in enumerate(want))
 
 
 def test_tag_check(capsys):

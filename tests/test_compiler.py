@@ -5,6 +5,7 @@ import pytest
 
 from autoseq import (
     Dfa,
+    Dfao,
     PartitionError,
     accepts,
     canonical_recognizer,
@@ -418,3 +419,36 @@ def test_glue_requires_digit_machines(no_bb):
 
 def test_first_mismatch_is_none_for_sound_compiles(no_bb):
     assert first_mismatch(no_bb, 4096) is None
+
+
+def _flipped_at(machine, index):
+    """``machine`` with its output flipped on the canonical numeral of
+    ``index`` alone: each state also tracks how much of that numeral has
+    been read, so only that numeral ends where the output flips."""
+    numeral = to_digits(index, 2)
+
+    def step(node, digit):
+        state, read = node
+        spelled = read is not None and read < len(numeral) and numeral[read] == digit
+        return machine.transitions[state, digit], read + 1 if spelled else None
+
+    def observe(node):
+        letter = machine.outputs[node[0]]
+        return {"0": "1", "1": "0"}[letter] if node[1] == len(numeral) else letter
+
+    return automata._build(Dfao, (machine.initial, 0), machine.alphabet, step, observe)[0]
+
+
+def test_first_mismatch_returns_the_first_wrong_index(monkeypatch):
+    rng = random.Random(2718)
+    count = 600
+    for dfa in [random_dfa(rng) for _ in range(8)]:
+        want = char_seq(dfa, count)
+        for index in (0, count // 2, count - 1, count, count + 5):
+            mutant = _flipped_at(compile_dfa(dfa), index)
+            monkeypatch.setattr("autoseq.compiler.compile_dfa", lambda dfa, minimize=True: mutant)
+            got = output_seq(mutant, count)
+            brute = next((n for n in range(count) if int(got[n]) != want[n]), None)
+            assert brute == (index if index < count else None)
+            assert first_mismatch(dfa, count) == brute
+            assert first_mismatch(dfa, 0) is None

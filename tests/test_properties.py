@@ -1,7 +1,8 @@
 """Property-based checks on generated machines: the file format round-trips,
 parsing fails only with FormatError, minimization is canonical and agrees
 with Moore's refinement, compile and split give the machines their
-definitions build, and split-then-glue gives back the compiled machine."""
+definitions build, split-then-glue gives back the compiled machine, and a
+line rendered from subtree blocks is the joined unfolding."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from autoseq import (
     parse,
     split_dfa,
 )
+from autoseq.tagsystem import _render, _unfold
 from conftest import moore_minimize
 
 # Seeded and without an example database, so every run checks the same cases.
@@ -80,6 +82,17 @@ def tag_systems(draw):
     rules = {symbol: draw(image) for symbol in symbols}
     rules[start][0] = start
     return TagSystem(modulus, symbols, start, rules, {symbol: draw(TOKEN) for symbol in symbols})
+
+
+@st.composite
+def tables(draw):
+    """A successor table of 1 to 40 symbols over 2 to 10 digits, a start
+    symbol with or without a 0-self-loop, and a label per symbol."""
+    base = draw(st.integers(2, 10))
+    symbols = [f"s{i}" for i in range(draw(st.integers(1, 40)))]
+    row = st.lists(st.sampled_from(symbols), min_size=base, max_size=base).map(tuple)
+    table = {symbol: draw(row) for symbol in symbols}
+    return table, draw(st.sampled_from(symbols)), {symbol: draw(TOKEN) for symbol in symbols}
 
 
 TWO_LETTERS = st.sampled_from([("a", "b"), ("0", "1")])
@@ -158,3 +171,10 @@ def test_constructions_equal_their_definitions(dfa):
         shows = frozenset(state for state, out in compiled.outputs.items() if out == letter)
         read = Dfa(compiled.alphabet, compiled.states, compiled.initial, shows, compiled.transitions)
         assert machine == minimize(intersection(read, canonical_recognizer()))
+
+
+@PROPERTY
+@given(tables(), st.integers(0, 5000))
+def test_render_joins_the_unfolding(drawn, count):
+    table, start, label = drawn
+    assert _render(table, start, count, label) == " ".join(map(label.__getitem__, _unfold(table, start, count)))
