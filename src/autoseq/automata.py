@@ -4,6 +4,9 @@ Machines are frozen dataclasses over string state ids and single-character
 letters.  Construction validates the whole structure once (including totality
 of the transition and output maps); after that every operation in this module
 is a pure function returning fresh machines, so values can be shared freely.
+Validation tests each field whole, with set operations on its ids, keys and
+targets; only a field that fails is read item by item, which words its
+problems one by one in a fixed order.
 
 A Dfa is a Dfao whose output is "accepting or not": both are one record
 but for that field.  The algorithms see a state only through its
@@ -25,6 +28,7 @@ machines equal or return a shortest word witnessing the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable, Hashable, Mapping
 
 
@@ -119,6 +123,18 @@ def _token_problem(kind: str, value) -> str | None:
     return None
 
 
+def _all_tokens(values) -> bool:
+    """Whether :func:`_token_problem` passes every value, tested on their
+    joined text at once: it splits back into exactly the values when each is
+    a nonempty string without whitespace."""
+    values = list(values)
+    try:
+        text = " ".join(values)
+    except TypeError:
+        return False
+    return "#" not in text and "=" not in text and text.split() == values
+
+
 def _sorted(items) -> list:
     """``items`` in order, or in ``repr`` order when they mix types that do
     not compare, so that problem reports never fail on malformed input."""
@@ -130,6 +146,8 @@ def _sorted(items) -> list:
 
 def _id_problems(ids, kind: str, plural: str) -> list[str]:
     """Problems with declared ids: none at all, bad tokens, duplicates."""
+    if ids and _all_tokens(ids) and len(set(ids)) == len(ids):
+        return []
     problems = [] if ids else [f"no {plural} declared"]
     seen = set()
     for name in ids:
@@ -144,8 +162,10 @@ def _id_problems(ids, kind: str, plural: str) -> list[str]:
 
 def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
     """Problems with a letter per id: undeclared ids, bad letters, missing ids."""
-    problems = []
     declared = set(ids)
+    if labels.keys() == declared and _all_tokens(labels.values()):
+        return []
+    problems = []
     for name, letter in _sorted(labels.items()):
         if name not in declared:
             problems.append(f"{what} for undeclared {owner} {name!r}")
@@ -155,6 +175,32 @@ def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
     for name in ids:
         if name not in labels:
             problems.append(f"no {what} letter for {owner} {name!r}")
+    return problems
+
+
+def _transition_problems(transitions: Mapping, states, alphabet) -> list[str]:
+    """Problems with the transition map: undeclared sources, letters and
+    targets, missing pairs.  With distinct states and letters, a map of
+    |states| * |alphabet| entries that holds every pair has no other key."""
+    declared, letters = set(states), set(alphabet)
+    if (
+        len(transitions) == len(declared) * len(letters) == len(states) * len(alphabet)
+        and all(map(transitions.__contains__, product(states, alphabet)))
+        and declared.issuperset(transitions.values())
+    ):
+        return []
+    problems = []
+    for (state, letter), target in _sorted(transitions.items()):
+        if state not in declared:
+            problems.append(f"transition from undeclared state {state!r}")
+        elif letter not in letters:
+            problems.append(f"transition on unknown letter {letter!r} from state {state!r}")
+        if target not in declared:
+            problems.append(f"transition target {target!r} is not declared (from {state!r} on {letter!r})")
+    for state in states:
+        for letter in alphabet:
+            if (state, letter) not in transitions:
+                problems.append(f"missing transition ({state!r}, {letter!r})")
     return problems
 
 
@@ -176,27 +222,16 @@ def validate(machine: Machine) -> list[str]:
 
     problems += _id_problems(states, "state id", "states")
     declared = set(states)
-    letters = set(alphabet)
     if machine.initial not in declared:
         problems.append(f"initial state {machine.initial!r} is not declared")
 
     accepting = getattr(machine, "accepting", None)
-    if accepting is not None:
+    if accepting is not None and not declared.issuperset(accepting):
         for state in _sorted(accepting):
             if state not in declared:
                 problems.append(f"accepting state {state!r} is not declared")
 
-    for (state, letter), target in _sorted(machine.transitions.items()):
-        if state not in declared:
-            problems.append(f"transition from undeclared state {state!r}")
-        elif letter not in letters:
-            problems.append(f"transition on unknown letter {letter!r} from state {state!r}")
-        if target not in declared:
-            problems.append(f"transition target {target!r} is not declared (from {state!r} on {letter!r})")
-    for state in states:
-        for letter in alphabet:
-            if (state, letter) not in machine.transitions:
-                problems.append(f"missing transition ({state!r}, {letter!r})")
+    problems += _transition_problems(machine.transitions, states, alphabet)
 
     outputs = getattr(machine, "outputs", None)
     if outputs is not None:

@@ -64,12 +64,20 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+# Pairs written per call with ``--oeis``, so that their text is built a
+# chunk at a time rather than for the whole sequence at once.
+_OEIS_CHUNK = 1 << 15
+
+
 def _sequence(render, args, machine) -> int:
     """Print the line ``render(machine, count)``, whose terms are separated
     by spaces, or one ``n term`` pair per line with ``--oeis``."""
     line = render(machine, args.count)
     if args.oeis:
-        sys.stdout.write("".join(f"{n} {term}\n" for n, term in enumerate(line.split())))
+        terms = line.split()
+        for start in range(0, len(terms), _OEIS_CHUNK):
+            chunk = enumerate(terms[start:start + _OEIS_CHUNK], start)
+            sys.stdout.write("".join([f"{n} {term}\n" for n, term in chunk]))
     else:
         print(line)
     return 0

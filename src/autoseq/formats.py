@@ -4,12 +4,15 @@ A file is a sequence of directives, one per line; ``#`` starts a comment
 and blank lines are ignored.  The first directive must be ``type`` with
 one of ``dfa``, ``dfao`` or ``tag``.  Parsing reports the offending line;
 problems that span the whole machine (a missing transition, say) are
-reported without a line number.  Serialization is deterministic, so equal
-machines always dump to identical text.
+reported without a line number.  The ``trans`` rows are checked together,
+by set operations on their states and letters, and read one by one only
+when that check fails, to name the first line at fault.  Serialization is
+deterministic, so equal machines always dump to identical text.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from pathlib import Path
 
 from .automata import Dfa, Dfao, InvalidAutomatonError, Machine
@@ -26,16 +29,17 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _rows(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """``(line number, tokens)`` for every line that holds a directive."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
 
 
 def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
     """Parse a machine description; the ``type`` directive picks the shape."""
-    rows = list(_rows(text))
+    rows = _rows(text)
     if not rows:
         raise FormatError("empty input: expected a 'type' directive", source)
     lineno, tokens = rows[0]
@@ -70,11 +74,17 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
     seen: dict = {}
     alphabet = states = initial = accepting = None
     outputs: dict = {}
-    transitions: dict = {}
     trans_rows = []
 
-    for lineno, tokens in rows:
-        head, rest = tokens[0], tokens[1:]
+    for row in rows:
+        lineno, tokens = row
+        head = tokens[0]
+        if head == "trans":
+            if len(tokens) != 4:
+                raise FormatError("'trans' takes: source letter target", source, lineno)
+            trans_rows.append(row)
+            continue
+        rest = tokens[1:]
         if head == "alphabet":
             _single(seen, lineno, head, source)
             alphabet = tuple(rest)
@@ -96,10 +106,6 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
                 raise FormatError("'outputs' only belongs in a dfao", source, lineno)
             _single(seen, lineno, head, source)
             _labels(rest, outputs, "output", "state", source, lineno)
-        elif head == "trans":
-            if len(rest) != 3:
-                raise FormatError("'trans' takes: source letter target", source, lineno)
-            trans_rows.append((lineno, rest[0], rest[1], rest[2]))
         else:
             raise FormatError(f"unknown directive {head!r}", source, lineno)
 
@@ -111,23 +117,39 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
     if kind == "dfao" and "outputs" not in seen:
         raise FormatError("missing 'outputs' directive", source)
 
-    declared = set(states)
-    letters = set(alphabet)
-    for lineno, state, letter, target in trans_rows:
-        for name, pool in ((state, declared), (target, declared)):
-            if name not in pool:
+    transitions = _transitions(trans_rows, set(states), set(alphabet), source)
+    cls, observed = (Dfa, {"accepting": accepting}) if kind == "dfa" else (Dfao, {"outputs": outputs})
+    try:
+        return cls(alphabet=alphabet, states=states, initial=initial, transitions=transitions, **observed)
+    except InvalidAutomatonError as exc:
+        raise FormatError(str(exc), source) from exc
+
+
+def _transitions(trans_rows, declared: set, letters: set, source: str) -> dict:
+    """The map that the ``(line number, ["trans", source, letter, target])``
+    rows spell.  It is taken whole when every row names declared states and
+    letters and no pair repeats; otherwise the rows are read in order, to
+    name the first line at fault."""
+    _, states, used, targets = zip(*map(itemgetter(1), trans_rows)) if trans_rows else ((),) * 4
+    transitions = dict(zip(zip(states, used), targets))
+    if (
+        len(transitions) == len(trans_rows)
+        and declared.issuperset(states)
+        and declared.issuperset(targets)
+        and letters.issuperset(used)
+    ):
+        return transitions
+    transitions = {}
+    for lineno, (_, state, letter, target) in trans_rows:
+        for name in (state, target):
+            if name not in declared:
                 raise FormatError(f"undeclared state {name!r}", source, lineno)
         if letter not in letters:
             raise FormatError(f"undeclared letter {letter!r}", source, lineno)
         if (state, letter) in transitions:
             raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
         transitions[state, letter] = target
-
-    cls, observed = (Dfa, {"accepting": accepting}) if kind == "dfa" else (Dfao, {"outputs": outputs})
-    try:
-        return cls(alphabet=alphabet, states=states, initial=initial, transitions=transitions, **observed)
-    except InvalidAutomatonError as exc:
-        raise FormatError(str(exc), source) from exc
+    return transitions
 
 
 def _parse_tag(rows, source: str) -> TagSystem:
@@ -137,8 +159,19 @@ def _parse_tag(rows, source: str) -> TagSystem:
     coding: dict = {}
 
     for lineno, tokens in rows:
-        head, rest = tokens[0], tokens[1:]
-        if head == "modulus":
+        head = tokens[0]
+        if head == "morph":
+            if len(tokens) < 3 or tokens[2] != "->":
+                raise FormatError("'morph' takes: symbol -> image...", source, lineno)
+            symbol = tokens[1]
+            if symbol in rules:
+                raise FormatError(f"duplicate rule for symbol {symbol!r}", source, lineno)
+            rules[symbol] = tokens[3:]
+            continue
+        rest = tokens[1:]
+        if head == "code":
+            _labels(rest, coding, "coding", "symbol", source, lineno)
+        elif head == "modulus":
             _single(seen, lineno, head, source)
             if len(rest) != 1 or not rest[0].isdecimal():
                 raise FormatError("'modulus' takes one non-negative integer", source, lineno)
@@ -151,15 +184,6 @@ def _parse_tag(rows, source: str) -> TagSystem:
             if len(rest) != 1:
                 raise FormatError("'start' takes exactly one symbol", source, lineno)
             start = rest[0]
-        elif head == "morph":
-            if len(rest) < 2 or rest[1] != "->":
-                raise FormatError("'morph' takes: symbol -> image...", source, lineno)
-            symbol, image = rest[0], tuple(rest[2:])
-            if symbol in rules:
-                raise FormatError(f"duplicate rule for symbol {symbol!r}", source, lineno)
-            rules[symbol] = image
-        elif head == "code":
-            _labels(rest, coding, "coding", "symbol", source, lineno)
         else:
             raise FormatError(f"unknown directive {head!r}", source, lineno)
 
@@ -213,7 +237,7 @@ def dump(machine: Machine | TagSystem) -> str:
 def load(path) -> Dfa | Dfao | TagSystem:
     """Parse the machine stored at ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}", str(path)) from exc
     return parse(text, source=str(path))
@@ -232,17 +256,18 @@ def to_dot(machine: Machine) -> str:
     ``state/output`` labels for output machines."""
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     with_outputs = isinstance(machine, Dfao)
-    for state in machine.states:
+    quoted = {state: _quote(state) for state in machine.states}
+    for state, name in quoted.items():
         if with_outputs:
             label = _quote(f"{state}/{machine.outputs[state]}")
-            lines.append(f"  {_quote(state)} [shape=circle, label={label}];")
+            lines.append(f"  {name} [shape=circle, label={label}];")
         else:
             shape = "doublecircle" if state in machine.accepting else "circle"
-            lines.append(f"  {_quote(state)} [shape={shape}];")
-    lines.append(f"  __start -> {_quote(machine.initial)};")
-    for state in machine.states:
-        for letter in machine.alphabet:
-            target = machine.transitions[state, letter]
-            lines.append(f"  {_quote(state)} -> {_quote(target)} [label={_quote(letter)}];")
+            lines.append(f"  {name} [shape={shape}];")
+    lines.append(f"  __start -> {quoted[machine.initial]};")
+    labels = [f" [label={_quote(letter)}];" for letter in machine.alphabet]
+    for state, name in quoted.items():
+        for letter, label in zip(machine.alphabet, labels):
+            lines.append(f"  {name} -> {quoted[machine.transitions[state, letter]]}{label}")
     lines.append("}")
     return "\n".join(lines) + "\n"

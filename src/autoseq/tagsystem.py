@@ -63,6 +63,29 @@ class TagSystem:
         if self.start not in declared:
             problems.append(f"start symbol {self.start!r} is not declared")
 
+        problems += self._rule_problems(declared)
+        problems += _label_problems(self.coding, self.symbols, "coding", "symbol")
+
+        if not problems and self.rules[self.start][0] != self.start:
+            problems.append(
+                f"rule for the start symbol must begin with the start symbol, "
+                f"got {self.start!r} -> {' '.join(self.rules[self.start])!r}"
+            )
+        return problems
+
+    def _rule_problems(self, declared: set) -> list[str]:
+        """Problems with the rules: undeclared symbols, wrong lengths, missing
+        rules.  In a sound system the rules are keyed by exactly the declared
+        symbols, and their images have length k and use only those."""
+        images = self.rules.values()
+        lengths = list(map(len, images))
+        if (
+            self.rules.keys() == declared
+            and lengths.count(self.modulus) == len(lengths)
+            and declared.issuperset(chain.from_iterable(images))
+        ):
+            return []
+        problems = []
         for symbol, image in _sorted(self.rules.items()):
             if symbol not in declared:
                 problems.append(f"rule for undeclared symbol {symbol!r}")
@@ -76,14 +99,6 @@ class TagSystem:
         for symbol in self.symbols:
             if symbol not in self.rules:
                 problems.append(f"no rule for symbol {symbol!r}")
-
-        problems += _label_problems(self.coding, self.symbols, "coding", "symbol")
-
-        if not problems and self.rules[self.start][0] != self.start:
-            problems.append(
-                f"rule for the start symbol must begin with the start symbol, "
-                f"got {self.start!r} -> {' '.join(self.rules[self.start])!r}"
-            )
         return problems
 
 

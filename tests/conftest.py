@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: checked-in machines, seeded random machines,
 the mod-N letter counters, a brute-force word enumerator used as the oracle
-for shortlex indexing, and Moore's refinement as the reference for
-minimization."""
+for shortlex indexing, Moore's refinement as the reference for
+minimization, and item-by-item structural checks as the reference for
+validation and for the ``trans`` rows of a file."""
 
 import itertools
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from autoseq import Dfa, Dfao, load
-from autoseq.automata import _build, _observer, reachable_states
+from autoseq import Dfa, Dfao, FormatError, load
+from autoseq.automata import _build, _observer, _sorted, _token_problem, reachable_states
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -111,6 +112,132 @@ def moore_minimize(machine):
         return classes[delta[reps[cls], letter]]
 
     return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
+
+
+def _reference_id_problems(ids, kind, plural):
+    problems = [] if ids else [f"no {plural} declared"]
+    seen = set()
+    for name in ids:
+        bad = _token_problem(kind, name)
+        if bad:
+            problems.append(bad)
+        elif name in seen:
+            problems.append(f"duplicate {kind} {name!r}")
+        seen.add(name)
+    return problems
+
+
+def _reference_label_problems(labels, ids, what, owner):
+    problems = []
+    declared = set(ids)
+    for name, letter in _sorted(labels.items()):
+        if name not in declared:
+            problems.append(f"{what} for undeclared {owner} {name!r}")
+        bad = _token_problem(f"{what} letter", letter)
+        if bad:
+            problems.append(bad)
+    for name in ids:
+        if name not in labels:
+            problems.append(f"no {what} letter for {owner} {name!r}")
+    return problems
+
+
+def reference_validate(machine):
+    """Reference for ``validate``: every id, label, accepting state and
+    transition read one at a time, each problem worded as it is met."""
+    problems = []
+    alphabet = tuple(machine.alphabet)
+    states = tuple(machine.states)
+
+    if not alphabet:
+        problems.append("alphabet is empty")
+    seen = set()
+    for letter in alphabet:
+        if not isinstance(letter, str) or len(letter) != 1 or letter.isspace() or letter in "#=":
+            problems.append(f"alphabet letter {letter!r} must be a single plain character")
+        elif letter in seen:
+            problems.append(f"duplicate alphabet letter {letter!r}")
+        seen.add(letter)
+
+    problems += _reference_id_problems(states, "state id", "states")
+    declared = set(states)
+    letters = set(alphabet)
+    if machine.initial not in declared:
+        problems.append(f"initial state {machine.initial!r} is not declared")
+
+    accepting = getattr(machine, "accepting", None)
+    if accepting is not None:
+        for state in _sorted(accepting):
+            if state not in declared:
+                problems.append(f"accepting state {state!r} is not declared")
+
+    for (state, letter), target in _sorted(machine.transitions.items()):
+        if state not in declared:
+            problems.append(f"transition from undeclared state {state!r}")
+        elif letter not in letters:
+            problems.append(f"transition on unknown letter {letter!r} from state {state!r}")
+        if target not in declared:
+            problems.append(f"transition target {target!r} is not declared (from {state!r} on {letter!r})")
+    for state in states:
+        for letter in alphabet:
+            if (state, letter) not in machine.transitions:
+                problems.append(f"missing transition ({state!r}, {letter!r})")
+
+    outputs = getattr(machine, "outputs", None)
+    if outputs is not None:
+        problems += _reference_label_problems(outputs, states, "output", "state")
+    return problems
+
+
+def reference_tag_problems(system):
+    """Reference for ``TagSystem._problems``, read one rule and one image
+    symbol at a time."""
+    problems = []
+    if not isinstance(system.modulus, int) or system.modulus < 2:
+        problems.append(f"modulus must be an integer >= 2, got {system.modulus!r}")
+    problems += _reference_id_problems(system.symbols, "symbol", "symbols")
+    declared = set(system.symbols)
+    if system.start not in declared:
+        problems.append(f"start symbol {system.start!r} is not declared")
+
+    for symbol, image in _sorted(system.rules.items()):
+        if symbol not in declared:
+            problems.append(f"rule for undeclared symbol {symbol!r}")
+        if isinstance(system.modulus, int) and len(image) != system.modulus:
+            problems.append(f"rule for {symbol!r} has length {len(image)}, expected {system.modulus}")
+        for target in image:
+            if target not in declared:
+                problems.append(f"rule for {symbol!r} uses undeclared symbol {target!r}")
+    for symbol in system.symbols:
+        if symbol not in system.rules:
+            problems.append(f"no rule for symbol {symbol!r}")
+
+    problems += _reference_label_problems(system.coding, system.symbols, "coding", "symbol")
+
+    if not problems and system.rules[system.start][0] != system.start:
+        problems.append(
+            f"rule for the start symbol must begin with the start symbol, "
+            f"got {system.start!r} -> {' '.join(system.rules[system.start])!r}"
+        )
+    return problems
+
+
+def reference_transitions(trans_rows, declared, letters, source):
+    """Reference for the check of a file's ``trans`` rows, given as ``(line
+    number, ["trans", source, letter, target])``: each row read in file
+    order, raising at the first one that names an undeclared state or letter
+    or repeats a (state, letter) pair."""
+    transitions = {}
+    for lineno, (_, state, letter, target) in trans_rows:
+        for name in (state, target):
+            if name not in declared:
+                raise FormatError(f"undeclared state {name!r}", source, lineno)
+        if letter not in letters:
+            raise FormatError(f"undeclared letter {letter!r}", source, lineno)
+        if (state, letter) in transitions:
+            raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
+        transitions[state, letter] = target
+    return transitions
 
 
 @pytest.fixture(scope="session")

@@ -19,10 +19,12 @@ from autoseq import (
     first_mismatch,
     glue,
     intersection,
+    load,
     is_empty,
     output,
     output_seq,
     run,
+    save,
     shortest_accepted,
     shortlex_word,
     split_dfa,
@@ -232,6 +234,19 @@ def test_constructions_validate_only_what_they_return(monkeypatch):
         operation()
         counts.append(len(validated))
     assert counts == [2, 5, 2]
+
+
+def test_sound_machines_are_checked_whole(monkeypatch, tmp_path):
+    # Loading and compiling sound machines tests each field at once; no id or
+    # label is checked on its own.
+    path = tmp_path / "mod48.fao"
+    save(compile_dfa(mod_counter(48)), path)
+    token_problem = automata._token_problem
+    checked = []
+    monkeypatch.setattr(automata, "_token_problem", lambda *args: checked.append(args) or token_problem(*args))
+    assert len(load(path).states) == 48**2 + 1
+    compile_dfa(mod_counter(48))
+    assert checked == []
 
 
 def test_compiled_states_track_word_pairs(no_bb):

@@ -276,6 +276,18 @@ def test_load_names_the_file_on_a_decode_error(tmp_path):
     assert "UTF-8" in str(err.value)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path, no_bb, no_bb_tag):
+    for name, machine in (("m.aut", no_bb), ("t.tag", no_bb_tag)):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(dump(machine).encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + dump(machine).encode())
+        assert load(marked) == load(plain) == machine
+    marked.write_bytes(b"\xef\xbb\xbftype dfa\n# caf\xe9\n")
+    with pytest.raises(FormatError) as err:
+        load(marked)
+    assert str(err.value).startswith(f"{marked}: not UTF-8 text")
+
+
 def test_save_then_load(tmp_path, no_bb, no_bb_tag):
     for name, machine in (("m.aut", no_bb), ("t.tag", no_bb_tag)):
         path = tmp_path / name

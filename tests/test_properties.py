@@ -1,8 +1,12 @@
 """Property-based checks on generated machines: the file format round-trips,
-parsing fails only with FormatError, minimization is canonical and agrees
-with Moore's refinement, compile and split give the machines their
-definitions build, split-then-glue gives back the compiled machine, and a
-line rendered from subtree blocks is the joined unfolding."""
+parsing fails only with FormatError, validation and parsing word the same
+problems as the item-by-item reference checks on damaged machines and
+files, minimization is canonical and agrees with Moore's refinement,
+compile and split give the machines their definitions build,
+split-then-glue gives back the compiled machine, and a line rendered from
+subtree blocks is the joined unfolding."""
+
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,8 @@ from autoseq import (
     Dfa,
     Dfao,
     FormatError,
+    InvalidAutomatonError,
+    InvalidTagSystemError,
     TagSystem,
     canonical_recognizer,
     compile_dfa,
@@ -25,7 +31,7 @@ from autoseq import (
     split_dfa,
 )
 from autoseq.tagsystem import _render, _unfold
-from conftest import moore_minimize
+from conftest import moore_minimize, reference_tag_problems, reference_transitions, reference_validate
 
 # Seeded and without an example database, so every run checks the same cases.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -121,6 +127,179 @@ def test_parse_fails_only_with_format_errors(text):
         parse(text)
     except FormatError:
         pass
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: its value, or the type and the wording of
+    the error it raises."""
+    try:
+        return build(*args)
+    except (InvalidAutomatonError, InvalidTagSystemError) as exc:
+        return type(exc), exc.problems
+    except (FormatError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_outcome(build, *args):
+    """:func:`outcome` with the item-by-item reference checks in place of
+    the library's own."""
+    with (
+        patch("autoseq.automata.validate", reference_validate),
+        patch.object(TagSystem, "_problems", reference_tag_problems),
+        patch("autoseq.formats._transitions", reference_transitions),
+    ):
+        return outcome(build, *args)
+
+
+# How many faults to put in: mostly some, sometimes none.
+FAULTS = st.sampled_from([1, 2, 3, 0])
+
+# Ids that break a check: whitespace, '#', '=', empty, not a string, and
+# one that nothing declares.
+DAMAGED = st.sampled_from(["a b", " s", "s\t", "", "#", "x#", "=", "a=b", 3, None, "zz"])
+
+
+def damage_automaton(data, kind, machine) -> dict:
+    """The fields of ``machine``, with up to three faults drawn from ``data``."""
+    fields = {
+        "alphabet": list(machine.alphabet),
+        "states": list(machine.states),
+        "initial": machine.initial,
+        "transitions": dict(machine.transitions),
+    }
+    if kind is Dfa:
+        fields["accepting"] = set(machine.accepting)
+    else:
+        fields["outputs"] = dict(machine.outputs)
+    for _ in range(data.draw(FAULTS)):
+        states, delta = fields["states"], fields["transitions"]
+        bad = data.draw(DAMAGED)
+        fault = data.draw(st.sampled_from(
+            ["state id", "duplicate", "source", "letter", "target", "missing", "alphabet", "initial",
+             "extra label", "missing label", "label letter"]
+        ))
+        if fault == "state id" and states:
+            states[data.draw(st.integers(0, len(states) - 1))] = bad
+        elif fault == "duplicate" and states:
+            states.append(data.draw(st.sampled_from(states)))
+            # with transitions from an undeclared state, so that the count
+            # still equals |states| * |alphabet|
+            delta.update({(bad, letter): machine.initial for letter in fields["alphabet"]})
+        elif fault == "source":
+            delta[bad, data.draw(st.sampled_from(fields["alphabet"]))] = machine.initial
+        elif fault == "letter" and states:
+            delta[data.draw(st.sampled_from(states)), data.draw(st.sampled_from(["?", "ab", 0]))] = machine.initial
+        elif fault == "target" and delta:
+            delta[data.draw(st.sampled_from(sorted(delta, key=repr)))] = bad
+        elif fault == "missing" and delta:
+            del delta[data.draw(st.sampled_from(sorted(delta, key=repr)))]
+        elif fault == "alphabet":
+            fields["alphabet"].append(data.draw(st.sampled_from(["", "ab", " ", "#", *fields["alphabet"]])))
+        elif fault == "initial":
+            fields["initial"] = bad
+        elif fault == "extra label" and kind is Dfa:
+            fields["accepting"].add(bad)
+        elif kind is Dfao:
+            outputs = fields["outputs"]
+            state = data.draw(st.sampled_from(sorted(outputs, key=repr) or [bad]))
+            if fault == "extra label":
+                outputs[bad] = "1"
+            elif fault == "missing label":
+                outputs.pop(state, None)
+            elif fault == "label letter":
+                outputs[state] = bad
+    return fields
+
+
+def damage_tag_system(data, system) -> dict:
+    """The fields of ``system``, with up to three faults drawn from ``data``."""
+    fields = {
+        "modulus": system.modulus,
+        "symbols": list(system.symbols),
+        "start": system.start,
+        "rules": {symbol: list(image) for symbol, image in system.rules.items()},
+        "coding": dict(system.coding),
+    }
+    for _ in range(data.draw(FAULTS)):
+        symbols, rules, coding = fields["symbols"], fields["rules"], fields["coding"]
+        bad = data.draw(DAMAGED)
+        symbol = data.draw(st.sampled_from(sorted(rules, key=repr) or [bad]))
+        fault = data.draw(st.sampled_from(
+            ["symbol", "duplicate", "longer", "shorter", "undeclared rule", "missing rule", "image",
+             "extra coding", "missing coding", "coding letter", "start", "modulus"]
+        ))
+        if fault == "symbol" and symbols:
+            symbols[data.draw(st.integers(0, len(symbols) - 1))] = bad
+        elif fault == "duplicate" and symbols:
+            symbols.append(data.draw(st.sampled_from(symbols)))
+        elif fault == "longer" and symbol in rules:
+            rules[symbol].append(symbol)
+        elif fault == "shorter" and rules.get(symbol):
+            rules[symbol].pop()
+        elif fault == "undeclared rule":
+            rules[bad] = [system.start] * system.modulus
+        elif fault == "missing rule":
+            rules.pop(symbol, None)
+        elif fault == "image" and rules.get(symbol):
+            rules[symbol][data.draw(st.integers(0, len(rules[symbol]) - 1))] = bad
+        elif fault == "extra coding":
+            coding[bad] = "1"
+        elif fault == "missing coding":
+            coding.pop(symbol, None)
+        elif fault == "coding letter":
+            coding[symbol] = bad
+        elif fault == "start":
+            fields["start"] = data.draw(st.sampled_from([bad, *symbols]))
+        elif fault == "modulus":
+            fields["modulus"] = data.draw(st.sampled_from([0, 1, 5, "2", 2.0, [2]]))
+    return fields
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from([Dfa, Dfao, TagSystem]), st.data())
+def test_validation_words_what_the_reference_words(kind, data):
+    if kind is TagSystem:
+        fields = damage_tag_system(data, data.draw(tag_systems()))
+    else:
+        fields = damage_automaton(data, kind, data.draw(automata(kind)))
+    assert outcome(lambda: kind(**fields)) == reference_outcome(lambda: kind(**fields))
+
+
+def damage_file(data, text: str) -> str:
+    """``text`` with up to three of the lines after its ``type`` line
+    duplicated, dropped, moved, cut short, given an undeclared or malformed
+    token, or preceded by a comment.  Half the faults go to ``trans`` and
+    ``morph`` rows, which are checked together."""
+    lines = text.splitlines()
+    for _ in range(data.draw(FAULTS)):
+        rows = [i for i, line in enumerate(lines) if line.startswith(("trans ", "morph "))]
+        if len(lines) < 2:
+            break
+        i = data.draw(st.sampled_from(rows) if rows and data.draw(st.booleans()) else st.integers(1, len(lines) - 1))
+        tokens = lines[i].split()
+        fault = data.draw(st.sampled_from(["duplicate", "drop", "move", "cut", "token", "comment"]))
+        if fault == "duplicate":
+            lines.insert(data.draw(st.integers(1, len(lines))), lines[i])
+        elif fault == "drop":
+            del lines[i]
+        elif fault == "move":
+            lines.insert(data.draw(st.integers(1, len(lines) - 1)), lines.pop(i))
+        elif fault == "cut" and tokens:
+            lines[i] = " ".join(tokens[:-1])
+        elif fault == "token" and len(tokens) > 1:
+            j = data.draw(st.integers(1, len(tokens) - 1))
+            tokens[j] = data.draw(st.sampled_from(["zz", "a=b", "=", "x#", "->", "zz=1", tokens[j - 1]]))
+            lines[i] = " ".join(tokens)
+        elif fault == "comment":
+            lines.insert(i, data.draw(st.sampled_from(["", "# note", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(automata(Dfa), automata(Dfao), tag_systems()), st.data())
+def test_parse_words_what_the_reference_words(machine, data):
+    text = damage_file(data, dump(machine))
+    assert outcome(parse, text, "f.aut") == reference_outcome(parse, text, "f.aut")
 
 
 @PROPERTY

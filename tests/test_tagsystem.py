@@ -85,6 +85,11 @@ def test_construction_requires_uniform_length():
             rules={"p": ("p", "p", "p")},
             coding={"p": "1"},
         )
+    # a modulus that is not an integer is reported, hashable or not
+    for modulus in ([2], "2", 2.0):
+        with pytest.raises(InvalidTagSystemError) as err:
+            TagSystem(modulus, ("p",), "p", {"p": ("p", "p")}, {"p": "1"})
+        assert err.value.problems == [f"modulus must be an integer >= 2, got {modulus!r}"]
 
 
 def test_construction_requires_total_rules_and_coding():
