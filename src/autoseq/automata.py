@@ -11,24 +11,28 @@ problems one by one in a fixed order.
 A Dfa is a Dfao whose output is "accepting or not": both are one record
 but for that field.  The algorithms see a state only through its
 observation (acceptance for a Dfa, the output letter for a Dfao), so each
-exists once for both kinds.  One breadth-first walk both builds and
-searches: it builds every machine (minimization, the pair products of the
-boolean operations, the compiler and glue), naming states q0, q1, ... in
-the order it reaches them and stepping once per state and letter, and its
-back-pointers give shortest accepted words and shortest counterexamples.
-Minimization walks the implicit graph a build would take, without building
-it: Hopcroft's partition refinement (Hopcroft 1971; Valmari & Lehtinen
-2008) finds the classes on the walk's successor indices in O(k n log n) for
-n nodes and k letters, and a build names the classes afterwards, so the
-result does not depend on how the refinement numbered them.  Equivalence
-checks are exact: they walk the product automaton and either prove the
-machines equal or return a shortest word witnessing the difference.
+exists once for both kinds.
+
+Constructions share one representation, the successor-index table: with k
+letters, ``succ[i * k + j]`` is the successor of node i under letter j.
+One breadth-first walk turns an implicit graph (the pair products of the
+boolean operations, the compiler and glue) into a table, stepping once per
+node and letter; a machine already built reads its table off in declared
+state order.  A machine is made from a table once, naming node i ``qi``.
+Minimization runs Hopcroft's partition refinement (Hopcroft 1971; Valmari
+& Lehtinen 2008) on a table in O(k n log n) for n nodes, then numbers the
+classes breadth-first from the initial one, so the result depends neither
+on how the refinement numbered them nor on the declared order of states.
+Searches walk with back-pointers, which give shortest accepted words and
+shortest counterexamples.  Equivalence checks are exact: they walk the
+product automaton and either prove the machines equal or return a shortest
+word witnessing the difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Hashable, Mapping
 
 
@@ -261,21 +265,17 @@ def output(dfao: Dfao, word: str) -> str:
     return dfao.outputs[run(dfao, word)]
 
 
-def _walk(start: Hashable, alphabet, step, back: dict, targets: list | None = None):
+def _walk(start: Hashable, alphabet, step, back: dict):
     """Nodes reachable from ``start`` under ``step``, breadth-first with
     letters in alphabet order; ``back`` gets a ``(parent, letter)`` pointer
     per node (None at ``start``), from which :func:`_word` reads the
-    shortlex-least word reaching it.  ``targets``, when given, gets every
-    ``step`` result in call order: the successors of each node, in alphabet
-    order, node after node."""
+    shortlex-least word reaching it."""
     back[start] = None
     order = [start]
     for node in order:
         yield node
         for letter in alphabet:
             nxt = step(node, letter)
-            if targets is not None:
-                targets.append(nxt)
             if nxt not in back:
                 back[nxt] = (node, letter)
                 order.append(nxt)
@@ -305,23 +305,42 @@ def _observer(machine: Machine) -> Callable[[str], Hashable]:
     return machine.outputs.__getitem__
 
 
+def _graph(start: Hashable, alphabet, step) -> tuple[list, list[int]]:
+    """The nodes reachable from ``start`` under ``step``, in :func:`_walk`
+    order, and their successor-index table: ``succ[i * k + j]`` is the index
+    of ``step(order[i], alphabet[j])`` for k letters.  ``step`` runs once per
+    node and letter."""
+    index = {start: 0}
+    order = [start]
+    succ = []
+    for node in order:
+        for letter in alphabet:
+            nxt = step(node, letter)
+            i = index.setdefault(nxt, len(order))
+            if i == len(order):
+                order.append(nxt)
+            succ.append(i)
+    return order, succ
+
+
+def _machine(kind: type, alphabet, succ: list[int], observed: list) -> Machine:
+    """Machine of ``kind`` on the successor-index table ``succ`` over
+    ``alphabet``: node ``i`` is state ``q{i}``, node 0 is initial, and each
+    state observes ``observed[i]``, as acceptance or as output letter."""
+    states = tuple([f"q{i}" for i in range(len(observed))])
+    transitions = dict(zip(product(states, alphabet), map(states.__getitem__, succ)))
+    if kind is Dfa:
+        return Dfa(alphabet, states, states[0], frozenset(compress(states, observed)), transitions)
+    return Dfao(alphabet, states, states[0], transitions, dict(zip(states, observed)))
+
+
 def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tuple[Machine, list]:
     """Machine of ``kind`` on the nodes reachable from ``start`` under
-    ``step``, and those nodes in :func:`_walk` order.  States are named
+    ``step``, and those nodes in :func:`_graph` order.  States are named
     ``q0, q1, ...`` in that order, which makes every construction built on
-    this helper deterministic.  Each state observes ``observe(node)``, as
-    acceptance or as output letter."""
-    targets: list = []
-    order = list(_walk(start, alphabet, step, {}, targets))
-    names = {node: f"q{i}" for i, node in enumerate(order)}
-    states = tuple(names.values())
-    edges = ((name, a) for name in states for a in alphabet)
-    transitions = dict(zip(edges, map(names.__getitem__, targets)))
-    if kind is Dfa:
-        accepting = frozenset(names[node] for node in order if observe(node))
-        return Dfa(alphabet, states, states[0], accepting, transitions), order
-    outputs = {names[node]: observe(node) for node in order}
-    return Dfao(alphabet, states, states[0], transitions, outputs), order
+    this helper deterministic.  Each state observes ``observe(node)``."""
+    order, succ = _graph(start, alphabet, step)
+    return _machine(kind, alphabet, succ, list(map(observe, order))), order
 
 
 def _refine(succ: list[int], k: int, observed: list) -> list[int]:
@@ -399,42 +418,52 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
     return block
 
 
-def _minimal(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
-    """Minimal machine of ``kind`` for the graph that :func:`_build` would
-    materialize from the same arguments, without materializing it.
-
-    One :func:`_walk` lists the reachable nodes and their successors, and
-    :func:`_refine` finds the classes on those index lists with Hopcroft's
-    partition refinement (Hopcroft 1971, "An n log n algorithm for
-    minimizing states in a finite automaton"), on the flat block and
-    splitter arrays of Valmari & Lehtinen 2008 (arXiv:0802.2826).  Any
-    member of a class can supply its transitions and observation, as all
-    members agree on both.  The numbering of the classes leaves no trace:
-    :func:`_build` names the states ``q0, q1, ...`` in breadth-first order
-    from the initial class, so the result, and every dump of it, depends
-    only on the language.
-    """
-    targets: list = []
-    order = list(_walk(start, alphabet, step, {}, targets))
-    index = {node: i for i, node in enumerate(order)}
-    succ = [index[node] for node in targets]
-    observed = [observe(node) for node in order]
+def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list) -> Machine:
+    """Minimal machine of ``kind`` for the successor-index table ``succ``
+    over ``alphabet`` from node ``start``, where node ``i`` observes
+    ``observed[i]``.  :func:`_refine` finds the classes, which are then
+    numbered breadth-first from the class of ``start`` on the table itself,
+    dropping those it does not reach, so the result depends only on what
+    the graph observes.  The first node met in a class stands for it, as
+    all members agree on successors and observation."""
     k = len(alphabet)
     block = _refine(succ, k, observed)
-    reps = {b: i for i, b in enumerate(block)}
-    column = {letter: j for j, letter in enumerate(alphabet)}
+    number = {block[start]: 0}
+    members = [start]
+    table = []
+    for i in members:
+        for target in succ[i * k:i * k + k]:
+            c = number.setdefault(block[target], len(members))
+            if c == len(members):
+                members.append(target)
+            table.append(c)
+    return _machine(kind, alphabet, table, [observed[i] for i in members])
 
-    def step_class(b, letter):
-        return block[succ[reps[b] * k + column[letter]]]
 
-    return _build(kind, block[0], alphabet, step_class, lambda b: observed[reps[b]])[0]
+def _minimal(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
+    """Minimal machine of ``kind`` for the graph that :func:`_build` would
+    materialize from the same arguments, without materializing it: one
+    :func:`_graph` walk gives the successor-index table, and
+    :func:`_quotient` refines it and names the classes."""
+    order, succ = _graph(start, alphabet, step)
+    return _quotient(kind, alphabet, succ, 0, list(map(observe, order)))
+
+
+def _table(machine: Machine) -> tuple[dict[str, int], list[int]]:
+    """Index of each declared state of ``machine``, and its successor-index
+    table in declared state order."""
+    index = {state: i for i, state in enumerate(machine.states)}
+    edges = product(machine.states, machine.alphabet)
+    return index, list(map(index.__getitem__, map(machine.transitions.__getitem__, edges)))
 
 
 def _minimize(machine: Machine) -> Machine:
-    """The minimal machine for what ``machine`` observes, by :func:`_minimal`."""
-    delta = machine.transitions
-    graph = machine.initial, machine.alphabet, lambda s, a: delta[s, a]
-    return _minimal(type(machine), *graph, _observer(machine))
+    """The minimal machine for what ``machine`` observes: the
+    :func:`_quotient` of its whole table, unreachable states included, from
+    the initial state."""
+    index, succ = _table(machine)
+    observed = list(map(_observer(machine), machine.states))
+    return _quotient(type(machine), machine.alphabet, succ, index[machine.initial], observed)
 
 
 def minimize(dfa: Dfa) -> Dfa:

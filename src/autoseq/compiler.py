@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _build, _minimal, _minimize, _pairs, _walk, _word
+from .automata import Dfa, Dfao, _AlphabetError, _build, _minimal, _minimize, _quotient, _table, _walk, _word
 from .charseq import char_seq, output_seq
 from .numeration import _check_natural
 
@@ -84,15 +84,23 @@ def canonical_recognizer() -> Dfa:
 
 def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
     """Minimal recognizers for the canonical numerals of the 1-positions and
-    the 0-positions of the characteristic sequence of L(dfa)."""
+    the 0-positions of the characteristic sequence of L(dfa).
+
+    Both are quotients of one graph of n+2 nodes: the n states of the
+    compiled machine, as read after a leading 1; a start node n for the
+    empty numeral, with q0's output, whose digit 0 leads to a dead node n+1
+    and digit 1 to q0's successor on 1; and that dead node.  It is the
+    product with :func:`canonical_recognizer`, its dead pairs merged.
+    """
     compiled = compile_dfa(dfa)
-    canonical = canonical_recognizer()
+    index, succ = _table(compiled)
+    n = len(index)
+    start = index[compiled.initial]
+    succ += [n + 1, succ[2 * start + 1], n + 1, n + 1]
+    shown = [*map(compiled.outputs.__getitem__, compiled.states), compiled.outputs[compiled.initial], None]
 
     def numerals(letter):
-        def observe(pair):
-            return compiled.outputs[pair[0]] == letter and pair[1] in canonical.accepting
-
-        return _minimal(Dfa, *_pairs(compiled, canonical), observe)
+        return _quotient(Dfa, ("0", "1"), succ, n, [seen == letter for seen in shown])
 
     return numerals("1"), numerals("0")
 

@@ -31,7 +31,7 @@ from autoseq import (
     to_digits,
     union,
 )
-from autoseq import automata, compiler
+from autoseq import automata
 from conftest import NO_BB_PREFIX, mod_counter, random_dfa
 
 
@@ -188,35 +188,42 @@ def test_mod_counters_reach_the_bound_and_split_glue_gives_them_back(modulus):
 
 def test_every_construction_steps_once_per_edge(monkeypatch):
     counts = []
+    graph = automata._graph
 
-    def counting(walk):
-        def counted_walk(kind, start, alphabet, step, observe):
-            edges = []
+    def counted_graph(start, alphabet, step):
+        edges = []
 
-            def counted(node, letter):
-                edges.append((node, letter))
-                return step(node, letter)
+        def counted(node, letter):
+            edges.append((node, letter))
+            return step(node, letter)
 
-            result = walk(kind, start, alphabet, counted, observe)
-            nodes = {node for node, _ in edges}
-            counts.append((len(edges), len(set(edges)), len(nodes) * len(alphabet)))
-            return result
-
-        return counted_walk
+        result = graph(start, alphabet, counted)
+        nodes = {node for node, _ in edges}
+        counts.append((len(edges), len(set(edges)), len(nodes) * len(alphabet)))
+        return result
 
     ones, zeros = split_dfa(mod_counter(12))
-    build, minimal = counting(automata._build), counting(automata._minimal)
-    for module in (automata, compiler):
-        monkeypatch.setattr(module, "_build", build)
-        monkeypatch.setattr(module, "_minimal", minimal)
+    monkeypatch.setattr(automata, "_graph", counted_graph)
     compile_dfa(mod_counter(48), minimize=False)
     assert counts == [(2 * 2305, 2 * 2305, 2 * 2305)]
     counts.clear()
     glue(ones, zeros)
-    # The walk of the redirected pair graph, and the build of its classes.
-    assert len(counts) == 2
+    # The redirected pair graph, walked once; its classes are named on the table.
+    assert len(counts) == 1
     split_dfa(mod_counter(12))
+    # The raw pair graph; minimizing and splitting read built machines' tables.
+    assert len(counts) == 2
     assert all(calls == distinct == edges for calls, distinct, edges in counts)
+
+
+def test_split_refines_the_compiled_machine_and_two_nodes(monkeypatch):
+    refine = automata._refine
+    sizes = []
+    monkeypatch.setattr(automata, "_refine", lambda succ, k, seen: sizes.append(len(seen)) or refine(succ, k, seen))
+    split_dfa(mod_counter(48))
+    # compile_dfa's minimization of the 48**2 + 1 raw states, then one graph
+    # per output letter: the compiled machine, a start node and a dead node.
+    assert sizes == [2305, 2305 + 2, 2305 + 2]
 
 
 def test_constructions_validate_only_what_they_return(monkeypatch):
@@ -226,14 +233,14 @@ def test_constructions_validate_only_what_they_return(monkeypatch):
     validated = []
     monkeypatch.setattr(automata, "validate", lambda machine: validated.append(machine) or validate(machine))
     # compile: the raw machine (which compile_dfa_with_pairs returns) and its
-    # minimization; split: that, the canonical recognizer and the two
-    # results; glue: the canonical recognizer and the result.
+    # minimization; split: those two and the two results; glue: the
+    # canonical recognizer and the result.
     counts = []
     for operation in (lambda: compile_dfa(dfa), lambda: split_dfa(dfa), lambda: glue(ones, zeros)):
         validated.clear()
         operation()
         counts.append(len(validated))
-    assert counts == [2, 5, 2]
+    assert counts == [2, 4, 2]
 
 
 def test_sound_machines_are_checked_whole(monkeypatch, tmp_path):

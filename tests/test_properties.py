@@ -1,11 +1,13 @@
 """Property-based checks on generated machines: the file format round-trips,
 parsing fails only with FormatError, validation and parsing word the same
 problems as the item-by-item reference checks on damaged machines and
-files, minimization is canonical and agrees with Moore's refinement,
+files, minimization is canonical, agrees with Moore's refinement and
+ignores the declared order of states and any state that is not reached,
 compile and split give the machines their definitions build,
 split-then-glue gives back the compiled machine, and a line rendered from
 subtree blocks is the joined unfolding."""
 
+from itertools import count
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -328,6 +330,32 @@ def test_minimize_matches_the_moore_reference(dfa):
 @given(st.one_of(refinable(Dfao), automata(Dfao)))
 def test_minimize_dfao_matches_the_moore_reference(dfao):
     assert minimize_dfao(dfao) == moore_minimize(dfao)
+
+
+@st.composite
+def rearranged(draw, kind):
+    """A machine, and the same machine with its states declared in another
+    order and with added states that the initial state does not reach."""
+    machine = draw(st.one_of(refinable(kind), automata(kind)))
+    fresh = (name for name in map("v{}".format, count()) if name not in machine.states)
+    extra = [next(fresh) for _ in range(draw(st.integers(0, 3)))]
+    states = draw(st.permutations([*machine.states, *extra]))
+    target = st.sampled_from(states)
+    transitions = dict(machine.transitions)
+    transitions.update({(state, letter): draw(target) for state in extra for letter in machine.alphabet})
+    if kind is Dfa:
+        accepting = machine.accepting | {state for state in extra if draw(st.booleans())}
+        return machine, Dfa(machine.alphabet, states, machine.initial, accepting, transitions)
+    outputs = {**machine.outputs, **{state: draw(TOKEN) for state in extra}}
+    return machine, Dfao(machine.alphabet, states, machine.initial, transitions, outputs)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.sampled_from([Dfa, Dfao]).flatmap(rearranged))
+def test_minimization_ignores_declared_order_and_unreachable_states(pair):
+    machine, variant = pair
+    reduce = minimize if isinstance(machine, Dfa) else minimize_dfao
+    assert reduce(variant) == reduce(machine)
 
 
 @PROPERTY
