@@ -23,10 +23,11 @@ Minimization runs Hopcroft's partition refinement (Hopcroft 1971; Valmari
 & Lehtinen 2008) on a table in O(k n log n) for n nodes, then numbers the
 classes breadth-first from the initial one, so the result depends neither
 on how the refinement numbered them nor on the declared order of states.
-Searches walk with back-pointers, which give shortest accepted words and
-shortest counterexamples.  Equivalence checks are exact: they walk the
-product automaton and either prove the machines equal or return a shortest
-word witnessing the difference.
+Searches run the same walk and stop at the first node they look for; its
+shortlex-least word is read off the table filled so far, which gives
+shortest accepted words and shortest counterexamples.  Equivalence checks
+are exact: they walk the product automaton and either prove the machines
+equal or return a shortest word witnessing the difference.
 """
 
 from __future__ import annotations
@@ -265,35 +266,51 @@ def output(dfao: Dfao, word: str) -> str:
     return dfao.outputs[run(dfao, word)]
 
 
-def _walk(start: Hashable, alphabet, step, back: dict):
+def _walk(start: Hashable, alphabet, step, succ: list):
     """Nodes reachable from ``start`` under ``step``, breadth-first with
-    letters in alphabet order; ``back`` gets a ``(parent, letter)`` pointer
-    per node (None at ``start``), from which :func:`_word` reads the
-    shortlex-least word reaching it."""
-    back[start] = None
+    letters in alphabet order.  ``start`` is node 0 and each new node takes
+    the next index; for each node, in turn, ``succ`` gets the index of its
+    successor under each letter, so ``succ[i * k + j]`` is node i's under
+    letter j for k letters.  ``step`` runs once per node and letter, and
+    node i is yielded before its successors are found."""
+    index = {start: 0}
     order = [start]
     for node in order:
         yield node
         for letter in alphabet:
             nxt = step(node, letter)
-            if nxt not in back:
-                back[nxt] = (node, letter)
+            i = index.setdefault(nxt, len(order))
+            if i == len(order):
                 order.append(nxt)
+            succ.append(i)
 
 
-def _word(back: dict, node: Hashable) -> str:
-    """The word that led :func:`_walk` to ``node``."""
-    letters = []
-    while back[node] is not None:
-        node, letter = back[node]
-        letters.append(letter)
-    return "".join(reversed(letters))
+def _words(succ: list[int], alphabet, nodes) -> list[str]:
+    """The shortlex-least words that lead :func:`_walk` to ``nodes``, read
+    off the table it filled.  The first entry of ``succ`` that names a node
+    is the edge that found it, and new nodes are named in order, so one
+    pass over ``succ`` finds every such edge; following them back to node 0
+    spells each word."""
+    k = len(alphabet)
+    parent, letter = [None], [None]
+    for edge, i in enumerate(succ):
+        if i == len(parent):
+            parent.append(edge // k)
+            letter.append(alphabet[edge % k])
+    words = []
+    for node in nodes:
+        letters = []
+        while node:
+            letters.append(letter[node])
+            node = parent[node]
+        words.append("".join(reversed(letters)))
+    return words
 
 
 def reachable_states(machine: Machine) -> list[str]:
     """States reachable from the initial state, in breadth-first order."""
     delta = machine.transitions
-    return list(_walk(machine.initial, machine.alphabet, lambda s, a: delta[s, a], {}))
+    return list(_walk(machine.initial, machine.alphabet, lambda s, a: delta[s, a], []))
 
 
 def _observer(machine: Machine) -> Callable[[str], Hashable]:
@@ -306,21 +323,10 @@ def _observer(machine: Machine) -> Callable[[str], Hashable]:
 
 
 def _graph(start: Hashable, alphabet, step) -> tuple[list, list[int]]:
-    """The nodes reachable from ``start`` under ``step``, in :func:`_walk`
-    order, and their successor-index table: ``succ[i * k + j]`` is the index
-    of ``step(order[i], alphabet[j])`` for k letters.  ``step`` runs once per
-    node and letter."""
-    index = {start: 0}
-    order = [start]
-    succ = []
-    for node in order:
-        for letter in alphabet:
-            nxt = step(node, letter)
-            i = index.setdefault(nxt, len(order))
-            if i == len(order):
-                order.append(nxt)
-            succ.append(i)
-    return order, succ
+    """The nodes reachable from ``start`` under ``step`` in :func:`_walk`
+    order, and the successor-index table that the walk fills."""
+    succ: list[int] = []
+    return list(_walk(start, alphabet, step, succ)), succ
 
 
 def _machine(kind: type, alphabet, succ: list[int], observed: list) -> Machine:
@@ -440,15 +446,6 @@ def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list)
     return _machine(kind, alphabet, table, [observed[i] for i in members])
 
 
-def _minimal(kind: type, start: Hashable, alphabet, step, observe: Callable) -> Machine:
-    """Minimal machine of ``kind`` for the graph that :func:`_build` would
-    materialize from the same arguments, without materializing it: one
-    :func:`_graph` walk gives the successor-index table, and
-    :func:`_quotient` refines it and names the classes."""
-    order, succ = _graph(start, alphabet, step)
-    return _quotient(kind, alphabet, succ, 0, list(map(observe, order)))
-
-
 def _table(machine: Machine) -> tuple[dict[str, int], list[int]]:
     """Index of each declared state of ``machine``, and its successor-index
     table in declared state order."""
@@ -485,9 +482,11 @@ def minimize_dfao(dfao: Dfao) -> Dfao:
 def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
     """Shortest word leading from ``start`` under ``step`` to a node where
     ``hit`` holds, or None; ties go to the alphabetically first word."""
-    back: dict = {}
-    node = next(filter(hit, _walk(start, alphabet, step, back)), None)
-    return None if node is None else _word(back, node)
+    succ: list[int] = []
+    for i, node in enumerate(_walk(start, alphabet, step, succ)):
+        if hit(node):
+            return _words(succ, alphabet, [i])[0]
+    return None
 
 
 def _pairs(m1: Machine, m2: Machine):

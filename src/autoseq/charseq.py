@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, _AlphabetError, _walk, _word, accepts, minimize
+from .automata import Dfa, Dfao, _AlphabetError, _graph, _words, accepts, minimize
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _unfold
 
@@ -87,9 +87,8 @@ def residuals(dfa: Dfa) -> list[Residual]:
     """
     small = minimize(dfa)
     delta = small.transitions
-    back: dict = {}
-    order = list(_walk(small.initial, small.alphabet, lambda s, a: delta[s, a], back))
-    return [Residual(_word(back, state), state) for state in order]
+    order, succ = _graph(small.initial, small.alphabet, lambda s, a: delta[s, a])
+    return list(map(Residual, _words(succ, small.alphabet, range(len(order))), order))
 
 
 def residual_bit(dfa: Dfa, prefix: str, word: str) -> int:

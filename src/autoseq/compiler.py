@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _build, _minimal, _minimize, _quotient, _table, _walk, _word
+from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _table, _words
 from .charseq import char_seq, output_seq
 from .numeration import _check_natural
 
@@ -128,13 +128,13 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
     and the 0-positions.
 
     Both inputs must read the digits 0, 1 and their languages must split
-    the canonical numerals exactly.  One breadth-first search over ones x
-    zeros x canonical numerals decides that and builds nothing; when it
-    fails, :class:`PartitionError` reports the first reason in ``_DETAILS``
-    order, with its shortest witness.  The product of the two recognizers
-    gets its initial 0-transition redirected into a self-loop so that
-    leading zeros leave the machine in place, then each reachable product
-    state is labeled by which side accepts there.
+    the canonical numerals exactly.  One breadth-first walk over ones x
+    zeros x canonical numerals decides that and fills the successor table;
+    when the split fails, :class:`PartitionError` reports the first reason
+    in ``_DETAILS`` order, with its shortest witness read off the table.
+    Otherwise node 0's digit 0 is turned into a self-loop, so that leading
+    zeros leave the machine in place and the nodes only they reached drop
+    out, and each node outputs which side accepts there.
     """
     for machine in (ones, zeros):
         if tuple(machine.alphabet) != ("0", "1"):
@@ -142,40 +142,25 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
 
     machines = (ones, zeros, canonical_recognizer())
 
-    def step_all(states, digit):
+    def step(states, digit):
         return tuple(m.transitions[state, digit] for m, state in zip(machines, states))
 
-    back: dict = {}
+    order, succ = _graph(tuple(m.initial for m in machines), ("0", "1"), step)
     found: dict = {}
-    for states in _walk(tuple(m.initial for m in machines), ("0", "1"), step_all, back):
+    observed = []
+    for i, states in enumerate(order):
         in_ones, in_zeros, canonical = (state in m.accepting for m, state in zip(machines, states))
         # An overlap can come with a non-canonical word, and it outranks it.
         if in_ones and in_zeros:
-            found.setdefault("overlap", states)
+            found.setdefault("overlap", i)
         elif canonical != (in_ones or in_zeros):
-            found.setdefault("uncovered" if canonical else "noncanonical", states)
+            found.setdefault("uncovered" if canonical else "noncanonical", i)
+        observed.append("1" if in_ones else "0")
     for reason in PartitionError._DETAILS:
         if reason in found:
-            raise PartitionError(reason, _word(back, found[reason]))
-
-    startpair = (ones.initial, zeros.initial)
-
-    def step(pair, digit):
-        if pair == startpair and digit == "0":
-            return startpair
-        return (ones.transitions[pair[0], digit], zeros.transitions[pair[1], digit])
-
-    def label(pair):
-        in_ones = pair[0] in ones.accepting
-        in_zeros = pair[1] in zeros.accepting
-        if in_ones == in_zeros:
-            # The partition checks above rule this out for reachable states.
-            raise RuntimeError(
-                f"product state {pair!r} is claimed by {'both sides' if in_ones else 'neither side'}"
-            )
-        return "1" if in_ones else "0"
-
-    return _minimal(Dfao, startpair, ("0", "1"), step, label)
+            raise PartitionError(reason, _words(succ, ("0", "1"), [found[reason]])[0])
+    succ[0] = 0
+    return _quotient(Dfao, ("0", "1"), succ, 0, observed)
 
 
 def first_mismatch(dfa: Dfa, count: int) -> int | None:

@@ -253,8 +253,13 @@ def _quote(name: str) -> str:
 
 def to_dot(machine: Machine) -> str:
     """Graphviz rendering of a machine: double circles for accepting states,
-    ``state/output`` labels for output machines."""
-    lines = ["digraph {", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    ``state/output`` labels for output machines.  The invisible start node
+    is ``__start``, with more leading underscores while a state has that
+    name: DOT reads a bare ID and its quoted form as the same node."""
+    start = "__start"
+    while start in machine.states:
+        start = "_" + start
+    lines = ["digraph {", "  rankdir=LR;", f'  {start} [shape=none, label=""];']
     with_outputs = isinstance(machine, Dfao)
     quoted = {state: _quote(state) for state in machine.states}
     for state, name in quoted.items():
@@ -264,7 +269,7 @@ def to_dot(machine: Machine) -> str:
         else:
             shape = "doublecircle" if state in machine.accepting else "circle"
             lines.append(f"  {name} [shape={shape}];")
-    lines.append(f"  __start -> {quoted[machine.initial]};")
+    lines.append(f"  {start} -> {quoted[machine.initial]};")
     labels = [f" [label={_quote(letter)}];" for letter in machine.alphabet]
     for state, name in quoted.items():
         for letter, label in zip(machine.alphabet, labels):

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks with pinned expected values.
+"""Acceptance gate: thirteen end-to-end checks with pinned expected values.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion, including the elapsed time for the budgeted ones.
@@ -20,6 +20,7 @@ from autoseq import (
     increment_bits,
     intseq,
     output,
+    residuals,
     save,
     seq,
     shortlex_extend,
@@ -199,3 +200,13 @@ def test_criterion_12_long_prefixes_via_cli(tmp_path, capsys):
         assert len(lines[0].split()) == 1 << 22
         assert main(["seq", NO_BB, "--count", "65536"]) == 0
         assert lines[0].startswith(capsys.readouterr().out[:-1] + " ")
+
+
+def test_criterion_13_residual_witnesses_in_linear_time():
+    with criterion(13, "2000 residual witnesses of the mod-2000 letter counter, under 2s"):
+        dfa = mod_counter(2000)
+        started = time.perf_counter()
+        found = residuals(dfa)
+        elapsed = time.perf_counter() - started
+        assert [residual.witness for residual in found] == ["a" * i for i in range(2000)]
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"

@@ -187,33 +187,38 @@ def test_mod_counters_reach_the_bound_and_split_glue_gives_them_back(modulus):
 
 
 def test_every_construction_steps_once_per_edge(monkeypatch):
-    counts = []
-    graph = automata._graph
+    # _walk is the one breadth-first walk; record the steps each call makes.
+    walks = []
+    walk = automata._walk
 
-    def counted_graph(start, alphabet, step):
+    def counted_walk(start, alphabet, step, succ):
         edges = []
+        walks.append((edges, len(alphabet)))
+        return walk(start, alphabet, lambda node, letter: edges.append((node, letter)) or step(node, letter), succ)
 
-        def counted(node, letter):
-            edges.append((node, letter))
-            return step(node, letter)
+    def counts():
+        found = [(len(edges), len(set(edges)), len({node for node, _ in edges}) * k) for edges, k in walks]
+        walks.clear()
+        return found
 
-        result = graph(start, alphabet, counted)
-        nodes = {node for node, _ in edges}
-        counts.append((len(edges), len(set(edges)), len(nodes) * len(alphabet)))
-        return result
-
-    ones, zeros = split_dfa(mod_counter(12))
-    monkeypatch.setattr(automata, "_graph", counted_graph)
+    dfa = mod_counter(12)
+    ones, zeros = split_dfa(dfa)
+    monkeypatch.setattr(automata, "_walk", counted_walk)
     compile_dfa(mod_counter(48), minimize=False)
-    assert counts == [(2 * 2305, 2 * 2305, 2 * 2305)]
-    counts.clear()
+    assert counts() == [(2 * 2305, 2 * 2305, 2 * 2305)]
+    # One walk over ones x zeros x canonical numerals both checks the
+    # partition and gives the table that is minimized.
     glue(ones, zeros)
-    # The redirected pair graph, walked once; its classes are named on the table.
-    assert len(counts) == 1
-    split_dfa(mod_counter(12))
+    glued = counts()
+    assert len(glued) == 1
     # The raw pair graph; minimizing and splitting read built machines' tables.
-    assert len(counts) == 2
-    assert all(calls == distinct == edges for calls, distinct, edges in counts)
+    split_dfa(dfa)
+    split = counts()
+    assert len(split) == 1
+    assert all(calls == distinct == edges for calls, distinct, edges in glued + split)
+    # The search stops at the first node that tells the machines apart.
+    assert automata.counterexample(dfa, automata.complement(dfa)) == ""
+    assert counts() == [(0, 0, 0)]
 
 
 def test_split_refines_the_compiled_machine_and_two_nodes(monkeypatch):

@@ -313,6 +313,16 @@ def test_to_dot_shapes(no_bb, no_bb_fao):
     assert '"q6" [shape=circle, label="q6/0"];' in dfao_dot
 
 
+def test_to_dot_start_node_avoids_state_names():
+    # A bare DOT ID and its quoted form name the same node.
+    states = ("__start", "___start")
+    transitions = {(state, letter): "___start" for state in states for letter in "ab"}
+    dot = to_dot(Dfa(("a", "b"), states, "__start", frozenset(), transitions))
+    assert '  ____start [shape=none, label=""];' in dot
+    assert '  ____start -> "__start";' in dot
+    assert dot.count("____start") == 2
+
+
 def test_dump_rejects_other_types():
     with pytest.raises(TypeError):
         dump("not a machine")
