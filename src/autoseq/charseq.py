@@ -7,7 +7,10 @@ word at a time: it lists the words of each length in dictionary order and
 runs every one from the initial state, through one successor list per
 letter.  It is the slow, obviously-correct reference against which the
 compiled machines are checked, so it shares no work between words and
-none of the compiler's index arithmetic.
+none of the compiler's index arithmetic.  It returns the bits as integers;
+its callers, the ``seq`` command and ``compiler.first_mismatch``, turn
+them into one line of text through a ``("0", "1")`` lookup per term, so
+the conversion stays outside the oracle.
 
 :func:`output_seq` runs a digit-reading machine on every index at once:
 it is the coded unfolding of the machine's successor table (the state of

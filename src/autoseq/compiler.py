@@ -20,8 +20,9 @@ from itertools import compress, count as indices
 from operator import ne
 
 from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _table, _words
-from .charseq import char_seq, output_seq
+from .charseq import char_seq
 from .numeration import _check_natural
+from .tagsystem import _digit_table, _render
 
 # Raw compiled state meaning "nothing but zeros read so far" (index 0).
 _ZERO = None
@@ -166,8 +167,18 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
 def first_mismatch(dfa: Dfa, count: int) -> int | None:
     """Index of the first disagreement between the compiled machine and the
     word-by-word characteristic sequence, or None if the first ``count``
-    entries agree."""
+    entries agree.
+
+    Both sides are rendered as the lines ``run`` and ``seq`` print: the
+    compiled machine's through ``_render``, the oracle's by joining
+    :func:`char_seq`'s bits.  One string compare decides agreement; only
+    when the lines differ are they split to locate the first differing
+    index.
+    """
     _check_natural("count", count)
-    got = output_seq(compile_dfa(dfa), count)
-    want = map(str, char_seq(dfa, count))
-    return next(compress(indices(), map(ne, got, want)), None)
+    compiled = compile_dfa(dfa)
+    got = _render(_digit_table(compiled), compiled.initial, count, compiled.outputs)
+    want = " ".join(map(("0", "1").__getitem__, char_seq(dfa, count)))
+    if got == want:
+        return None
+    return next(compress(indices(), map(ne, got.split(), want.split())))

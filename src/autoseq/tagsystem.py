@@ -16,7 +16,7 @@ as text, and the line joins those blocks (``_render``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping
 
 from .automata import Dfao, _AlphabetError, _MachineError, _id_problems, _label_problems, _sorted
@@ -103,12 +103,15 @@ class TagSystem:
 
 
 def _digit_table(dfao: Dfao) -> dict[str, tuple[str, ...]]:
-    """Successors of every state on the digits 0..k-1, which must be the alphabet."""
+    """Successors of every state on the digits 0..k-1, which must be the
+    alphabet, keyed in declared state order.  Each digit's column is looked
+    up in one pass over the states, and the rows are those columns zipped."""
     base = len(dfao.alphabet)
     if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
         raise _AlphabetError(dfao, f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order")
-    delta = dfao.transitions
-    return {state: tuple(delta[state, digit] for digit in dfao.alphabet) for state in dfao.states}
+    states = dfao.states
+    columns = [map(dfao.transitions.__getitem__, zip(states, repeat(digit))) for digit in dfao.alphabet]
+    return dict(zip(states, zip(*columns)))
 
 
 def _unfold(table: Mapping[str, tuple[str, ...]], start: str, count: int) -> list[str]:

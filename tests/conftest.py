@@ -1,8 +1,9 @@
 """Shared fixtures and helpers: checked-in machines, seeded random machines,
-the mod-N letter counters, a brute-force word enumerator used as the oracle
-for shortlex indexing, Moore's refinement as the reference for
-minimization, and item-by-item structural checks as the reference for
-validation and for the ``trans`` rows of a file."""
+the mod-N letter counters, output machines with one index flipped, a
+brute-force word enumerator used as the oracle for shortlex indexing,
+Moore's refinement as the reference for minimization, and item-by-item
+structural checks as the reference for validation and for the ``trans``
+rows of a file."""
 
 import itertools
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from autoseq import Dfa, Dfao, FormatError, load
+from autoseq import Dfa, Dfao, FormatError, load, to_digits
 from autoseq.automata import _build, _observer, _sorted, _token_problem, reachable_states
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -72,6 +73,24 @@ def mod_counter(modulus: int) -> Dfa:
     transitions = {(states[r], "a"): states[(r + 1) % modulus] for r in range(modulus)}
     transitions.update({(state, "b"): state for state in states})
     return Dfa(("a", "b"), states, states[0], frozenset({states[0]}), transitions)
+
+
+def flipped_at(machine: Dfao, index: int) -> Dfao:
+    """``machine`` with its output flipped on the canonical numeral of
+    ``index`` alone: each state also tracks how much of that numeral has
+    been read, so only that numeral ends where the output flips."""
+    numeral = to_digits(index, 2)
+
+    def step(node, digit):
+        state, read = node
+        spelled = read is not None and read < len(numeral) and numeral[read] == digit
+        return machine.transitions[state, digit], read + 1 if spelled else None
+
+    def observe(node):
+        letter = machine.outputs[node[0]]
+        return {"0": "1", "1": "0"}[letter] if node[1] == len(numeral) else letter
+
+    return _build(Dfao, (machine.initial, 0), machine.alphabet, step, observe)[0]
 
 
 def _index_by(order, key):

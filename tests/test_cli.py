@@ -10,6 +10,7 @@ from autoseq import (
     Dfa,
     Dfao,
     TagSystem,
+    char_seq,
     dfao_equivalent,
     equivalent,
     from_dfao,
@@ -21,7 +22,7 @@ from autoseq import (
 )
 from autoseq import cli
 from autoseq.cli import main
-from conftest import MACHINES, random_dfao
+from conftest import MACHINES, random_dfa, random_dfao
 
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
@@ -43,6 +44,20 @@ def test_seq_oeis(capsys):
     values = capsys.readouterr().out.split()
     assert main(["run", THUE_MORSE, "--count", "40", "--oeis"]) == 0
     assert capsys.readouterr().out == "".join(f"{n} {v}\n" for n, v in enumerate(values))
+
+
+def test_seq_prints_the_bits_of_char_seq(tmp_path, capsys):
+    rng = random.Random(31)
+    counts = {0, 1, 2, 3} | {(1 << length) + shift for length in range(2, 13) for shift in (-1, 0, 1)}
+    for alphabet in (("a", "b"), ("b", "a"), ("x", "y")):
+        for dfa in [random_dfa(rng, 6, alphabet) for _ in range(3)]:
+            save(dfa, tmp_path / "d.aut")
+            for count in sorted(counts):
+                bits = list(map(str, char_seq(dfa, count)))
+                assert main(["seq", str(tmp_path / "d.aut"), "--count", str(count)]) == 0
+                assert capsys.readouterr().out == " ".join(bits) + "\n", (alphabet, count)
+                assert main(["seq", str(tmp_path / "d.aut"), "--count", str(count), "--oeis"]) == 0
+                assert capsys.readouterr().out == "".join(f"{n} {bit}\n" for n, bit in enumerate(bits))
 
 
 def test_run(capsys):

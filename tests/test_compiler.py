@@ -5,7 +5,6 @@ import pytest
 
 from autoseq import (
     Dfa,
-    Dfao,
     PartitionError,
     accepts,
     canonical_recognizer,
@@ -32,7 +31,7 @@ from autoseq import (
     union,
 )
 from autoseq import automata
-from conftest import NO_BB_PREFIX, mod_counter, random_dfa
+from conftest import NO_BB_PREFIX, flipped_at, mod_counter, random_dfa
 
 
 # Exact dumps for no_bb: minimized machines are named q0, q1, ... in
@@ -448,34 +447,33 @@ def test_first_mismatch_is_none_for_sound_compiles(no_bb):
     assert first_mismatch(no_bb, 4096) is None
 
 
-def _flipped_at(machine, index):
-    """``machine`` with its output flipped on the canonical numeral of
-    ``index`` alone: each state also tracks how much of that numeral has
-    been read, so only that numeral ends where the output flips."""
-    numeral = to_digits(index, 2)
-
-    def step(node, digit):
-        state, read = node
-        spelled = read is not None and read < len(numeral) and numeral[read] == digit
-        return machine.transitions[state, digit], read + 1 if spelled else None
-
-    def observe(node):
-        letter = machine.outputs[node[0]]
-        return {"0": "1", "1": "0"}[letter] if node[1] == len(numeral) else letter
-
-    return automata._build(Dfao, (machine.initial, 0), machine.alphabet, step, observe)[0]
-
-
 def test_first_mismatch_returns_the_first_wrong_index(monkeypatch):
     rng = random.Random(2718)
     count = 600
     for dfa in [random_dfa(rng) for _ in range(8)]:
         want = char_seq(dfa, count)
         for index in (0, count // 2, count - 1, count, count + 5):
-            mutant = _flipped_at(compile_dfa(dfa), index)
+            mutant = flipped_at(compile_dfa(dfa), index)
             monkeypatch.setattr("autoseq.compiler.compile_dfa", lambda dfa, minimize=True: mutant)
             got = output_seq(mutant, count)
             brute = next((n for n in range(count) if int(got[n]) != want[n]), None)
             assert brute == (index if index < count else None)
             assert first_mismatch(dfa, count) == brute
             assert first_mismatch(dfa, 0) is None
+
+
+def test_first_mismatch_takes_its_expected_side_from_char_seq(monkeypatch, no_bb):
+    # a bit flipped in the oracle's answer alone must be reported: the
+    # expected side comes from the word-by-word char_seq, not from any
+    # sequence the compiler derives itself
+    count = 5000
+    for index in (0, 1, 63, 64, 2047, 2048, 4095, 4999):
+        def flipped(dfa, count, index=index):
+            bits = char_seq(dfa, count)
+            if index < count:
+                bits[index] ^= 1
+            return bits
+
+        monkeypatch.setattr("autoseq.compiler.char_seq", flipped)
+        assert first_mismatch(no_bb, count) == index
+        assert first_mismatch(no_bb, index) is None

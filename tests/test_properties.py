@@ -4,13 +4,14 @@ problems as the item-by-item reference checks on damaged machines and
 files, minimization is canonical, agrees with Moore's refinement and
 ignores the declared order of states and any state that is not reached,
 compile and split give the machines their definitions build,
-split-then-glue gives back the compiled machine, and a line rendered from
-subtree blocks is the joined unfolding."""
+split-then-glue gives back the compiled machine, a line rendered from
+subtree blocks is the joined unfolding, and ``first_mismatch`` finds a
+flipped term wherever it lies in that line."""
 
 from itertools import count
 from unittest.mock import patch
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from autoseq import (
@@ -21,19 +22,22 @@ from autoseq import (
     InvalidTagSystemError,
     TagSystem,
     canonical_recognizer,
+    char_seq,
     compile_dfa,
     dfao_equivalent,
     dump,
     equivalent,
+    first_mismatch,
     glue,
     intersection,
     minimize,
     minimize_dfao,
+    output_seq,
     parse,
     split_dfa,
 )
 from autoseq.tagsystem import _render, _unfold
-from conftest import moore_minimize, reference_tag_problems, reference_transitions, reference_validate
+from conftest import flipped_at, moore_minimize, reference_tag_problems, reference_transitions, reference_validate
 
 # Seeded and without an example database, so every run checks the same cases.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -385,3 +389,57 @@ def test_constructions_equal_their_definitions(dfa):
 def test_render_joins_the_unfolding(drawn, count):
     table, start, label = drawn
     assert _render(table, start, count, label) == " ".join(map(label.__getitem__, _unfold(table, start, count)))
+
+
+def _block_width(symbols, count):
+    """The block width ``_render`` picks for a base-2 table of ``symbols``
+    symbols at ``count`` terms (1 when it uses no blocks)."""
+    width = 1
+    while width * 2 * max(4 * symbols, width * 2) <= count:
+        width *= 2
+    return width
+
+
+@st.composite
+def flipped_terms(draw):
+    """A recognizer, a count and its compiled machine with the output of one
+    index flipped (``flipped_at``).  The count is 0, 1, 2**12 +- 1, 2**14 + 3
+    or one off a count where ``_render`` goes one block depth deeper on the
+    mutant's table; the index lies in the head, in a full root block, in the
+    last partial block or past the count.  Both depend on the mutant's size,
+    which depends on the index, so they are recomputed until they agree."""
+    dfa = draw(automata(Dfa, st.just(("a", "b"))))
+    fixed = draw(st.sampled_from([0, 1, (1 << 12) - 1, (1 << 12) + 1, (1 << 14) + 3, None]))
+    depth, shift = draw(st.integers(1, 6)), draw(st.sampled_from([-1, 0, 1]))
+    region = draw(st.sampled_from(["head", "root block", "partial block", "past the count"]))
+    share = draw(st.floats(0, 1, exclude_max=True))
+    compiled = compile_dfa(dfa)
+    mutant, index = compiled, None
+    for _ in range(6):
+        symbols = len(mutant.states)
+        count = fixed if fixed is not None else (1 << depth) * max(4 * symbols, 1 << depth) + shift
+        width = _block_width(symbols, count)
+        partial = count - count % width
+        low, high = {
+            "head": (0, min(width, count)),
+            "root block": (width, partial),
+            "partial block": (partial, count),
+            "past the count": (count, count + 3),
+        }[region]
+        assume(low < high)
+        placed = low + int(share * (high - low))
+        if placed == index:
+            return dfa, mutant, count, index
+        index, mutant = placed, flipped_at(compiled, placed)
+    assume(False)
+
+
+@PROPERTY
+@given(flipped_terms())
+def test_first_mismatch_finds_a_flipped_term_anywhere_in_the_line(case):
+    dfa, mutant, count, index = case
+    got, want = output_seq(mutant, count), char_seq(dfa, count)
+    brute = next((n for n in range(count) if int(got[n]) != want[n]), None)
+    assert brute == (index if index < count else None)
+    with patch("autoseq.compiler.compile_dfa", lambda dfa, minimize=True: mutant):
+        assert first_mismatch(dfa, count) == brute
