@@ -446,21 +446,20 @@ def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list)
     return _machine(kind, alphabet, table, [observed[i] for i in members])
 
 
-def _table(machine: Machine) -> tuple[dict[str, int], list[int]]:
-    """Index of each declared state of ``machine``, and its successor-index
-    table in declared state order."""
+def _table(machine: Machine) -> list[int]:
+    """The successor-index table of ``machine`` in declared state order."""
     index = {state: i for i, state in enumerate(machine.states)}
     edges = product(machine.states, machine.alphabet)
-    return index, list(map(index.__getitem__, map(machine.transitions.__getitem__, edges)))
+    return list(map(index.__getitem__, map(machine.transitions.__getitem__, edges)))
 
 
 def _minimize(machine: Machine) -> Machine:
     """The minimal machine for what ``machine`` observes: the
     :func:`_quotient` of its whole table, unreachable states included, from
     the initial state."""
-    index, succ = _table(machine)
     observed = list(map(_observer(machine), machine.states))
-    return _quotient(type(machine), machine.alphabet, succ, index[machine.initial], observed)
+    start = machine.states.index(machine.initial)
+    return _quotient(type(machine), machine.alphabet, _table(machine), start, observed)
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, _AlphabetError, _graph, _words, accepts, minimize
+from .automata import Dfa, Dfao, _AlphabetError, _table, _words, accepts, minimize
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _unfold
 
@@ -85,13 +85,12 @@ def residuals(dfa: Dfa) -> list[Residual]:
     """One entry per distinct residual language of L(dfa).
 
     The recognizer is minimized first, so two prefixes that admit exactly
-    the same continuations are counted once.  Entries come back in
-    breadth-first order; the first witness is always the empty word.
+    the same continuations are counted once.  The minimal machine numbers
+    its states breadth-first, so the witnesses are read off its own table,
+    in that order; the first witness is always the empty word.
     """
     small = minimize(dfa)
-    delta = small.transitions
-    order, succ = _graph(small.initial, small.alphabet, lambda s, a: delta[s, a])
-    return list(map(Residual, _words(succ, small.alphabet, range(len(order))), order))
+    return list(map(Residual, _words(_table(small), small.alphabet, range(len(small.states))), small.states))
 
 
 def residual_bit(dfa: Dfa, prefix: str, word: str) -> int:

@@ -7,11 +7,11 @@ each state, the pair of recognizer states reached on the current shortlex
 word and on its predecessor: appending the digit 1 to the numeral of n
 yields 2n+1, whose word extends word(n) by the first letter, while the
 digit 0 yields 2n, whose word extends word(n-1) by the second letter.  A
-separate start state absorbs leading zeros.
+separate start state absorbs leading zeros, looping on the digit 0.
 
-The module also goes the other way around the construction: ``split_dfa``
-separates the numerals of the 1-positions from those of the 0-positions,
-and ``glue`` reassembles an output machine from two such recognizers.
+The module also goes the other way around: ``split_dfa`` cuts that loop to
+separate the numerals of the 1-positions from those of the 0-positions,
+and ``glue`` closes it to reassemble an output machine from the two.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _table, _words
+from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _words
 from .charseq import char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
@@ -28,13 +28,9 @@ from .tagsystem import _digit_table, _render
 _ZERO = None
 
 
-def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
-    """Unminimized compilation, keeping the bookkeeping visible.
-
-    Returns the compiled machine plus a map from each of its state names to
-    the tracked pair (state on word(n), state on word(n-1)), or None for
-    the leading-zeros state.  At most |Q|**2 + 1 states are created.
-    """
+def _pair_graph(dfa: Dfa):
+    """Start node, digits, step and output of the compiler's pair graph,
+    whose start node ``_ZERO`` loops on the digit 0."""
     if tuple(dfa.alphabet) != ("a", "b"):
         raise _AlphabetError(dfa, "the compiler expects the alphabet 'a b' in that order")
     first, second = dfa.alphabet
@@ -54,7 +50,17 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
         tracked = start if raw is _ZERO else raw[0]
         return "1" if tracked in dfa.accepting else "0"
 
-    compiled, order = _build(Dfao, _ZERO, ("0", "1"), step, label)
+    return _ZERO, ("0", "1"), step, label
+
+
+def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
+    """Unminimized compilation, keeping the bookkeeping visible.
+
+    Returns the compiled machine plus a map from each of its state names to
+    the tracked pair (state on word(n), state on word(n-1)), or None for
+    the leading-zeros state.  At most |Q|**2 + 1 states are created.
+    """
+    compiled, order = _build(Dfao, *_pair_graph(dfa))
     return compiled, dict(zip(compiled.states, order))
 
 
@@ -87,23 +93,17 @@ def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
     """Minimal recognizers for the canonical numerals of the 1-positions and
     the 0-positions of the characteristic sequence of L(dfa).
 
-    Both are quotients of one graph of n+2 nodes: the n states of the
-    compiled machine, as read after a leading 1; a start node n for the
-    empty numeral, with q0's output, whose digit 0 leads to a dead node n+1
-    and digit 1 to q0's successor on 1; and that dead node.  It is the
-    product with :func:`canonical_recognizer`, its dead pairs merged.
+    Both are quotients of the compiler's pair graph with the loop that
+    :func:`glue` closes cut: the start node's digit 0 leads to an added dead
+    node n, so only canonical numerals reach the pairs.  It is the product
+    with :func:`canonical_recognizer`, its dead pairs merged.
     """
-    compiled = compile_dfa(dfa)
-    index, succ = _table(compiled)
-    n = len(index)
-    start = index[compiled.initial]
-    succ += [n + 1, succ[2 * start + 1], n + 1, n + 1]
-    shown = [*map(compiled.outputs.__getitem__, compiled.states), compiled.outputs[compiled.initial], None]
-
-    def numerals(letter):
-        return _quotient(Dfa, ("0", "1"), succ, n, [seen == letter for seen in shown])
-
-    return numerals("1"), numerals("0")
+    start, digits, step, label = _pair_graph(dfa)
+    order, succ = _graph(start, digits, step)
+    n = len(order)
+    succ = [n, *succ[1:], n, n]
+    shown = [*map(label, order), None]
+    return tuple(_quotient(Dfa, digits, succ, 0, [seen == letter for seen in shown]) for letter in "10")
 
 
 class PartitionError(ValueError):

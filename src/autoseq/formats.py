@@ -1,13 +1,15 @@
 """Line-based text formats for machines and tag systems, plus DOT export.
 
-A file is a sequence of directives, one per line; ``#`` starts a comment
-and blank lines are ignored.  The first directive must be ``type`` with
-one of ``dfa``, ``dfao`` or ``tag``.  Parsing reports the offending line;
-problems that span the whole machine (a missing transition, say) are
-reported without a line number.  The ``trans`` rows are checked together,
-by set operations on their states and letters, and read one by one only
-when that check fails, to name the first line at fault.  Serialization is
-deterministic, so equal machines always dump to identical text.
+A file is a sequence of directives, one per line, and only ``\n``,
+``\r\n`` and ``\r`` end a line; ``#`` starts a comment that runs to the end
+of its line, whatever it holds, and blank lines are ignored.  The first
+directive must be ``type`` with one of ``dfa``, ``dfao`` or ``tag``.
+Parsing reports the offending line; problems that span the whole machine
+(a missing transition, say) are reported without a line number.  The
+machine's constructor checks the ``trans`` rows as one map; they are read
+one by one only when a pair repeats or construction fails, to name the
+first line at fault.  Serialization is deterministic, so equal machines
+always dump to identical text.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class FormatError(ValueError):
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
     """``(line number, tokens)`` for every line that holds a directive."""
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
     return list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
@@ -117,39 +119,37 @@ def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
     if kind == "dfao" and "outputs" not in seen:
         raise FormatError("missing 'outputs' directive", source)
 
-    transitions = _transitions(trans_rows, set(states), set(alphabet), source)
     cls, observed = (Dfa, {"accepting": accepting}) if kind == "dfa" else (Dfao, {"outputs": outputs})
+    return _automaton(cls, dict(alphabet=alphabet, states=states, initial=initial, **observed), trans_rows, source)
+
+
+def _automaton(cls, fields: dict, trans_rows, source: str) -> Dfa | Dfao:
+    """The machine of ``cls`` on ``fields`` and the map the ``trans`` rows
+    spell; the rows are read in order, to name the first line at fault,
+    only when a pair repeats or construction fails."""
+    _, states, used, targets = zip(*map(itemgetter(1), trans_rows)) if trans_rows else ((),) * 4
+    transitions = dict(zip(zip(states, used), targets))
+    if len(transitions) < len(trans_rows):
+        _check_rows(trans_rows, fields, source)
     try:
-        return cls(alphabet=alphabet, states=states, initial=initial, transitions=transitions, **observed)
+        return cls(transitions=transitions, **fields)
     except InvalidAutomatonError as exc:
+        _check_rows(trans_rows, fields, source)
         raise FormatError(str(exc), source) from exc
 
 
-def _transitions(trans_rows, declared: set, letters: set, source: str) -> dict:
-    """The map that the ``(line number, ["trans", source, letter, target])``
-    rows spell.  It is taken whole when every row names declared states and
-    letters and no pair repeats; otherwise the rows are read in order, to
-    name the first line at fault."""
-    _, states, used, targets = zip(*map(itemgetter(1), trans_rows)) if trans_rows else ((),) * 4
-    transitions = dict(zip(zip(states, used), targets))
-    if (
-        len(transitions) == len(trans_rows)
-        and declared.issuperset(states)
-        and declared.issuperset(targets)
-        and letters.issuperset(used)
-    ):
-        return transitions
-    transitions = {}
+def _check_rows(trans_rows, fields: dict, source: str):
+    """Raise at the first ``trans`` row that names an undeclared id or repeats a pair."""
+    declared, letters, seen = set(fields["states"]), set(fields["alphabet"]), set()
     for lineno, (_, state, letter, target) in trans_rows:
         for name in (state, target):
             if name not in declared:
                 raise FormatError(f"undeclared state {name!r}", source, lineno)
         if letter not in letters:
             raise FormatError(f"undeclared letter {letter!r}", source, lineno)
-        if (state, letter) in transitions:
+        if (state, letter) in seen:
             raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
-        transitions[state, letter] = target
-    return transitions
+        seen.add((state, letter))
 
 
 def _parse_tag(rows, source: str) -> TagSystem:

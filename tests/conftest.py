@@ -2,8 +2,8 @@
 the mod-N letter counters, output machines with one index flipped, a
 brute-force word enumerator used as the oracle for shortlex indexing,
 Moore's refinement as the reference for minimization, and item-by-item
-structural checks as the reference for validation and for the ``trans``
-rows of a file."""
+structural checks as the reference for validation and for building a
+machine from the ``trans`` rows of a file."""
 
 import itertools
 import random
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from autoseq import Dfa, Dfao, FormatError, load, to_digits
+from autoseq import Dfa, Dfao, FormatError, InvalidAutomatonError, load, to_digits
 from autoseq.automata import _build, _observer, _sorted, _token_problem, reachable_states
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -241,11 +241,14 @@ def reference_tag_problems(system):
     return problems
 
 
-def reference_transitions(trans_rows, declared, letters, source):
-    """Reference for the check of a file's ``trans`` rows, given as ``(line
-    number, ["trans", source, letter, target])``: each row read in file
-    order, raising at the first one that names an undeclared state or letter
-    or repeats a (state, letter) pair."""
+def reference_automaton(cls, fields, trans_rows, source):
+    """Reference for building a machine of ``cls`` from a file's other
+    ``fields`` and its ``trans`` rows, given as ``(line number, ["trans",
+    source, letter, target])``: each row read in file order, raising at the
+    first one that names an undeclared state or letter or repeats a (state,
+    letter) pair, and only then the constructor, whose problems name the
+    file but no line."""
+    declared, letters = set(fields["states"]), set(fields["alphabet"])
     transitions = {}
     for lineno, (_, state, letter, target) in trans_rows:
         for name in (state, target):
@@ -256,7 +259,10 @@ def reference_transitions(trans_rows, declared, letters, source):
         if (state, letter) in transitions:
             raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
         transitions[state, letter] = target
-    return transitions
+    try:
+        return cls(transitions=transitions, **fields)
+    except InvalidAutomatonError as exc:
+        raise FormatError(str(exc), source) from exc
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,12 @@ from autoseq import (
     shortlex_word,
     to_digits,
 )
+from autoseq import automata
 from conftest import (
     NO_BB_PREFIX,
     PAPERFOLD_PREFIX,
     THUE_MORSE_PREFIX,
+    mod_counter,
     random_dfa,
     random_dfao,
     words_in_order,
@@ -128,6 +130,17 @@ def test_residuals_of_no_bb(no_bb):
     found = residuals(no_bb)
     assert [r.witness for r in found] == ["", "b", "bb"]
     assert len({r.state for r in found}) == 3
+
+
+def test_residuals_read_witnesses_off_the_minimal_table(monkeypatch):
+    # minimize numbers the states breadth-first, so no walk is made after it.
+    walk = automata._walk
+    walks = []
+    monkeypatch.setattr(automata, "_walk", lambda *args: walks.append(args) or walk(*args))
+    found = residuals(mod_counter(12))
+    assert walks == []
+    assert [r.witness for r in found] == ["a" * i for i in range(12)]
+    assert [r.state for r in found] == [f"q{i}" for i in range(12)]
 
 
 def test_residuals_count_ignores_presentation(no_bb_ones):

@@ -30,7 +30,7 @@ from autoseq import (
     to_digits,
     union,
 )
-from autoseq import automata
+from autoseq import automata, formats
 from conftest import NO_BB_PREFIX, flipped_at, mod_counter, random_dfa
 
 
@@ -210,7 +210,7 @@ def test_every_construction_steps_once_per_edge(monkeypatch):
     glue(ones, zeros)
     glued = counts()
     assert len(glued) == 1
-    # The raw pair graph; minimizing and splitting read built machines' tables.
+    # The pair graph, with its leading-zeros loop cut, serves both quotients.
     split_dfa(dfa)
     split = counts()
     assert len(split) == 1
@@ -220,14 +220,15 @@ def test_every_construction_steps_once_per_edge(monkeypatch):
     assert counts() == [(0, 0, 0)]
 
 
-def test_split_refines_the_compiled_machine_and_two_nodes(monkeypatch):
+def test_split_refines_the_pair_graph_and_a_dead_node(monkeypatch):
     refine = automata._refine
     sizes = []
     monkeypatch.setattr(automata, "_refine", lambda succ, k, seen: sizes.append(len(seen)) or refine(succ, k, seen))
     split_dfa(mod_counter(48))
-    # compile_dfa's minimization of the 48**2 + 1 raw states, then one graph
-    # per output letter: the compiled machine, a start node and a dead node.
-    assert sizes == [2305, 2305 + 2, 2305 + 2]
+    # One refinement per output letter, of the 48**2 + 1 raw nodes and the
+    # dead node that the leading-zeros node's digit 0 leads to; nothing is
+    # compiled or minimized first.
+    assert sizes == [2305 + 1, 2305 + 1]
 
 
 def test_constructions_validate_only_what_they_return(monkeypatch):
@@ -237,24 +238,25 @@ def test_constructions_validate_only_what_they_return(monkeypatch):
     validated = []
     monkeypatch.setattr(automata, "validate", lambda machine: validated.append(machine) or validate(machine))
     # compile: the raw machine (which compile_dfa_with_pairs returns) and its
-    # minimization; split: those two and the two results; glue: the
-    # canonical recognizer and the result.
+    # minimization; split: the two results, quotients of the pair graph;
+    # glue: the canonical recognizer and the result.
     counts = []
     for operation in (lambda: compile_dfa(dfa), lambda: split_dfa(dfa), lambda: glue(ones, zeros)):
         validated.clear()
         operation()
         counts.append(len(validated))
-    assert counts == [2, 4, 2]
+    assert counts == [2, 2, 2]
 
 
 def test_sound_machines_are_checked_whole(monkeypatch, tmp_path):
     # Loading and compiling sound machines tests each field at once; no id or
-    # label is checked on its own.
+    # label is checked on its own, and no trans row is read on its own.
     path = tmp_path / "mod48.fao"
     save(compile_dfa(mod_counter(48)), path)
     token_problem = automata._token_problem
     checked = []
     monkeypatch.setattr(automata, "_token_problem", lambda *args: checked.append(args) or token_problem(*args))
+    monkeypatch.setattr(formats, "_check_rows", lambda *args: checked.append(args))
     assert len(load(path).states) == 48**2 + 1
     compile_dfa(mod_counter(48))
     assert checked == []

@@ -288,6 +288,27 @@ def test_load_skips_a_byte_order_mark(tmp_path, no_bb, no_bb_tag):
     assert str(err.value).startswith(f"{marked}: not UTF-8 text")
 
 
+def test_lines_end_only_at_newlines(tmp_path, no_bb):
+    # A comment runs to the end of its line whatever it holds, and other
+    # line separators neither end a line nor shift the line numbers.
+    for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        lines = dump(no_bb).splitlines()
+        lines.insert(1, f"# page break {separator} here")
+        path = tmp_path / "ff.aut"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load(path) == no_bb
+    lines = dump(no_bb).splitlines()
+    lines[5] += "\v"
+    lines[6] = "trans e b nowhere"
+    path = tmp_path / "vt.aut"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load(path)
+    assert str(err.value) == f"{path}:7: undeclared state 'nowhere'"
+    for newline in ("\r\n", "\r"):
+        assert parse("# page break \f here\n" + dump(no_bb).replace("\n", newline)) == no_bb
+
+
 def test_save_then_load(tmp_path, no_bb, no_bb_tag):
     for name, machine in (("m.aut", no_bb), ("t.tag", no_bb_tag)):
         path = tmp_path / name

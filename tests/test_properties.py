@@ -37,7 +37,7 @@ from autoseq import (
     split_dfa,
 )
 from autoseq.tagsystem import _render, _unfold
-from conftest import flipped_at, moore_minimize, reference_tag_problems, reference_transitions, reference_validate
+from conftest import flipped_at, moore_minimize, reference_automaton, reference_tag_problems, reference_validate
 
 # Seeded and without an example database, so every run checks the same cases.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -152,7 +152,7 @@ def reference_outcome(build, *args):
     with (
         patch("autoseq.automata.validate", reference_validate),
         patch.object(TagSystem, "_problems", reference_tag_problems),
-        patch("autoseq.formats._transitions", reference_transitions),
+        patch("autoseq.formats._automaton", reference_automaton),
     ):
         return outcome(build, *args)
 
