@@ -142,9 +142,11 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
             raise _AlphabetError(machine, "glue expects machines over the digits '0 1'")
 
     machines = (ones, zeros, canonical_recognizer())
+    t1, t2, t3 = (m.transitions for m in machines)
 
     def step(states, digit):
-        return tuple(m.transitions[state, digit] for m, state in zip(machines, states))
+        s1, s2, s3 = states
+        return (t1[s1, digit], t2[s2, digit], t3[s3, digit])
 
     order, succ = _graph(tuple(m.initial for m in machines), ("0", "1"), step)
     found: dict = {}

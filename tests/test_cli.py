@@ -1,4 +1,5 @@
 import argparse
+import gc
 import random
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from autoseq import (
 )
 from autoseq import cli
 from autoseq.cli import main
-from conftest import MACHINES, random_dfa, random_dfao
+from conftest import MACHINES, mod_counter, random_dfa, random_dfao
 
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
@@ -390,3 +391,107 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert main(["num", "phi", "6"]) == 0
     assert first > 0 and len(built) == first
     assert capsys.readouterr().out == "ba\nbb\n"
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic garbage collector enabled or disabled as it was."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch, collector, enabled):
+    seen = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def spied_parse(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse(self, *args, **kwargs)
+
+    def broken(n):
+        seen.append(gc.isenabled())
+        raise KeyError(n)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spied_parse)
+    (gc.enable if enabled else gc.disable)()
+    cases = [
+        (["num", "phi", "5"], 0),
+        (["seq", str(tmp_path / "missing.aut"), "--count", "4"], 1),
+        (["seq"], 1),
+        (["--help"], 0),
+    ]
+    for argv, status in cases:
+        seen.clear()
+        assert main(argv) == status, argv
+        assert seen == [False], argv
+        assert gc.isenabled() is enabled, argv
+    monkeypatch.setattr("autoseq.cli.numeration.shortlex_word", broken)
+    seen.clear()
+    with pytest.raises(KeyError):
+        main(["num", "phi", "5"])
+    assert seen == [False, False]
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, collector):
+    mod48 = tmp_path / "mod48.aut"
+    save(mod_counter(48), mod48)
+    compiled = tmp_path / "mod48.fao"
+    ones, zeros = tmp_path / "ones.aut", tmp_path / "zeros.aut"
+    lines = mod48.read_text().splitlines(keepends=True)
+    stray = tmp_path / "stray.aut"
+    stray.write_text("".join(lines).replace("trans c0 a c1\n", "trans c0 a nowhere\n"))
+    gap = tmp_path / "gap.aut"
+    gap.write_text("".join(line for line in lines if not line.startswith("trans c0 a ")))
+    paths = {
+        "seq": ["seq", NO_BB, "--count", "300"],
+        "run": ["run", FAO, "--count", "300"],
+        "compile": ["compile", NO_BB],
+        "verify": ["verify", NO_BB, "--count", "300"],
+        "split": ["split", NO_BB],
+        "glue": ["glue", ONES, ZEROS],
+        "minimize": ["minimize", FAO],
+        "residuals": ["residuals", NO_BB],
+        "dot": ["dot", FAO],
+        "tag from-dfao": ["tag", "from-dfao", FAO],
+        "tag seq": ["tag", "seq", TAG, "--count", "300"],
+        "tag intseq": ["tag", "intseq", TAG, "--count", "300"],
+        "tag check": ["tag", "check", TAG, "--depth", "64"],
+        "num phi": ["num", "phi", "5"],
+        "num phi-inv": ["num", "phi-inv", "ba"],
+        "num canon": ["num", "canon", "194", "--base", "3"],
+        "num nu": ["num", "nu", "21012", "--base", "3"],
+        "num rho": ["num", "rho", "11"],
+        "num gamma": ["num", "gamma", "10"],
+    }
+    assert set(paths) == {path for path, *_ in cli._COMMANDS}
+    corpus = [
+        *((argv, 0) for argv in paths.values()),
+        (["run", THUE_MORSE, "--count", "300"], 0),
+        (["dot", NO_BB], 0),
+        (["minimize", ONES], 0),
+        (["compile", str(mod48), "-o", str(compiled)], 0),
+        (["split", str(mod48), "-o-m", str(ones), "-o-n", str(zeros)], 0),
+        (["glue", str(ones), str(zeros)], 0),
+        (["verify", str(mod48), "--count", "3000"], 0),
+        (["seq", str(stray), "--count", "4"], 1),
+        (["seq", str(gap), "--count", "4"], 1),
+        (["glue", ONES, ONES], 1),
+        (["seq", str(tmp_path / "missing.aut"), "--count", "4"], 1),
+    ]
+    # Building the parser leaves garbage once per process; warm it up.  The
+    # corpus has no argparse exit: argparse's HelpFormatter and its sections
+    # refer to each other, so each usage or help message it writes leaves a
+    # cycle of fixed size (6 objects for a usage error, 25 for --help).
+    main(["num", "phi", "0"])
+    gc.disable()
+    for check in (False, True):
+        gc.collect()
+        for argv, status in corpus:
+            assert main(argv) == status, argv
+            capsys.readouterr()
+            if check:
+                assert gc.collect() == 0, argv
