@@ -106,11 +106,6 @@ class Dfao(_Automaton):
     transitions: Mapping[tuple[str, str], str]
     outputs: Mapping[str, str]
 
-    @property
-    def output_letters(self) -> tuple[str, ...]:
-        """Distinct output letters, sorted."""
-        return tuple(sorted(set(self.outputs.values())))
-
 
 Machine = Dfa | Dfao
 

@@ -143,6 +143,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
 
     machines = (ones, zeros, canonical_recognizer())
     t1, t2, t3 = (m.transitions for m in machines)
+    a1, a2, a3 = (m.accepting for m in machines)
 
     def step(states, digit):
         s1, s2, s3 = states
@@ -151,8 +152,8 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
     order, succ = _graph(tuple(m.initial for m in machines), ("0", "1"), step)
     found: dict = {}
     observed = []
-    for i, states in enumerate(order):
-        in_ones, in_zeros, canonical = (state in m.accepting for m, state in zip(machines, states))
+    for i, (s1, s2, s3) in enumerate(order):
+        in_ones, in_zeros, canonical = s1 in a1, s2 in a2, s3 in a3
         # An overlap can come with a non-canonical word, and it outranks it.
         if in_ones and in_zeros:
             found.setdefault("overlap", i)

@@ -3,13 +3,17 @@
 A file is a sequence of directives, one per line, and only ``\n``,
 ``\r\n`` and ``\r`` end a line; ``#`` starts a comment that runs to the end
 of its line, whatever it holds, and blank lines are ignored.  The first
-directive must be ``type`` with one of ``dfa``, ``dfao`` or ``tag``.
-Parsing reports the offending line; problems that span the whole machine
-(a missing transition, say) are reported without a line number.  The
-machine's constructor checks the ``trans`` rows as one map; they are read
-one by one only when a pair repeats or construction fails, to name the
-first line at fault.  Serialization is deterministic, so equal machines
-always dump to identical text.
+directive must be ``type`` with one of ``dfa``, ``dfao`` or ``tag``, and
+one reader serves all three: a table gives each type its bulk row (``trans``
+or ``morph``) and the directives it needs exactly once.  Parsing reports the
+offending line; problems that span the whole machine (a missing directive or
+transition, say) are reported without a line number.  Of several faults,
+the first malformed line in file order is reported; failing that, the first
+missing directive; failing that, what is wrong with the machine itself.  The
+machine's constructor checks the ``trans`` rows as one map; they are read one
+by one only when a pair repeats or construction fails, to name the first line
+at fault.  Serialization is deterministic, so equal machines always dump to
+identical text.
 """
 
 from __future__ import annotations
@@ -39,6 +43,25 @@ def _rows(text: str) -> list[tuple[int, list[str]]]:
     return list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
 
 
+# Per machine type: the row that makes up the bulk of a file, and the
+# directives the type needs exactly once, in the order a missing one is reported.
+_DIRECTIVES = {
+    "dfa": ("trans", ("alphabet", "states", "initial", "accepting")),
+    "dfao": ("trans", ("alphabet", "states", "initial", "outputs")),
+    "tag": ("morph", ("modulus", "symbols", "start")),
+}
+
+# What each once-only directive that holds a single value takes.
+_ONE_VALUE = {
+    "initial": "exactly one state id",
+    "start": "exactly one symbol",
+    "modulus": "one non-negative integer",
+}
+
+# The automaton type that each observation belongs to.
+_OBSERVED = {"accepting": "dfa", "outputs": "dfao"}
+
+
 def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
     """Parse a machine description; the ``type`` directive picks the shape."""
     rows = _rows(text)
@@ -48,17 +71,58 @@ def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
     if tokens[0] != "type" or len(tokens) != 2:
         raise FormatError("the first directive must be 'type dfa|dfao|tag'", source, lineno)
     kind = tokens[1]
-    if kind in ("dfa", "dfao"):
-        return _parse_automaton(kind, rows[1:], source)
-    if kind == "tag":
-        return _parse_tag(rows[1:], source)
-    raise FormatError(f"unknown machine type {kind!r}", source, lineno)
+    if kind not in _DIRECTIVES:
+        raise FormatError(f"unknown machine type {kind!r}", source, lineno)
+    bulk, once = _DIRECTIVES[kind]
+    tag = kind == "tag"
+    fields: dict = {}
+    trans_rows = []
+    rules: dict = {}
+    coding: dict = {}
 
+    for row in rows[1:]:
+        lineno, tokens = row
+        head = tokens[0]
+        if head == bulk:
+            if not tag:
+                if len(tokens) != 4:
+                    raise FormatError("'trans' takes: source letter target", source, lineno)
+                trans_rows.append(row)
+            elif len(tokens) < 3 or tokens[2] != "->":
+                raise FormatError("'morph' takes: symbol -> image...", source, lineno)
+            elif tokens[1] in rules:
+                raise FormatError(f"duplicate rule for symbol {tokens[1]!r}", source, lineno)
+            else:
+                rules[tokens[1]] = tokens[3:]
+        elif head == "code" and tag:
+            _labels(tokens[1:], coding, "coding", "symbol", source, lineno)
+        elif head not in once:
+            if head in _OBSERVED and not tag:
+                raise FormatError(f"{head!r} only belongs in a {_OBSERVED[head]}", source, lineno)
+            raise FormatError(f"unknown directive {head!r}", source, lineno)
+        elif head in fields:
+            first = next(n for n, (other, *_) in rows if other == head)
+            raise FormatError(f"duplicate {head!r} directive (first on line {first})", source, lineno)
+        elif head in _ONE_VALUE and (len(tokens) != 2 or head == "modulus" and not tokens[1].isdecimal()):
+            raise FormatError(f"{head!r} takes {_ONE_VALUE[head]}", source, lineno)
+        elif head == "outputs":
+            _labels(tokens[1:], fields.setdefault(head, {}), "output", "state", source, lineno)
+        elif head in _ONE_VALUE:
+            fields[head] = int(tokens[1]) if head == "modulus" else tokens[1]
+        else:
+            fields[head] = tuple(tokens[1:])
 
-def _single(seen: dict, lineno, head, source):
-    if head in seen:
-        raise FormatError(f"duplicate {head!r} directive (first on line {seen[head]})", source, lineno)
-    seen[head] = lineno
+    for head in once:
+        if head not in fields:
+            note = " (it may list zero ids)" if head == "accepting" else ""
+            raise FormatError(f"missing {head!r} directive{note}", source)
+
+    if tag:
+        try:
+            return TagSystem(rules=rules, coding=coding, **fields)
+        except InvalidTagSystemError as exc:
+            raise FormatError(str(exc), source) from exc
+    return _automaton(Dfa if kind == "dfa" else Dfao, fields, trans_rows, source)
 
 
 def _labels(tokens, labels: dict, what: str, owner: str, source, lineno):
@@ -70,57 +134,6 @@ def _labels(tokens, labels: dict, what: str, owner: str, source, lineno):
         if name in labels:
             raise FormatError(f"duplicate {what} for {owner} {name!r}", source, lineno)
         labels[name] = letter
-
-
-def _parse_automaton(kind: str, rows, source: str) -> Dfa | Dfao:
-    seen: dict = {}
-    alphabet = states = initial = accepting = None
-    outputs: dict = {}
-    trans_rows = []
-
-    for row in rows:
-        lineno, tokens = row
-        head = tokens[0]
-        if head == "trans":
-            if len(tokens) != 4:
-                raise FormatError("'trans' takes: source letter target", source, lineno)
-            trans_rows.append(row)
-            continue
-        rest = tokens[1:]
-        if head == "alphabet":
-            _single(seen, lineno, head, source)
-            alphabet = tuple(rest)
-        elif head == "states":
-            _single(seen, lineno, head, source)
-            states = tuple(rest)
-        elif head == "initial":
-            _single(seen, lineno, head, source)
-            if len(rest) != 1:
-                raise FormatError("'initial' takes exactly one state id", source, lineno)
-            initial = rest[0]
-        elif head == "accepting":
-            if kind != "dfa":
-                raise FormatError("'accepting' only belongs in a dfa", source, lineno)
-            _single(seen, lineno, head, source)
-            accepting = tuple(rest)
-        elif head == "outputs":
-            if kind != "dfao":
-                raise FormatError("'outputs' only belongs in a dfao", source, lineno)
-            _single(seen, lineno, head, source)
-            _labels(rest, outputs, "output", "state", source, lineno)
-        else:
-            raise FormatError(f"unknown directive {head!r}", source, lineno)
-
-    for directive, value in (("alphabet", alphabet), ("states", states), ("initial", initial)):
-        if value is None:
-            raise FormatError(f"missing {directive!r} directive", source)
-    if kind == "dfa" and accepting is None:
-        raise FormatError("missing 'accepting' directive (it may list zero ids)", source)
-    if kind == "dfao" and "outputs" not in seen:
-        raise FormatError("missing 'outputs' directive", source)
-
-    cls, observed = (Dfa, {"accepting": accepting}) if kind == "dfa" else (Dfao, {"outputs": outputs})
-    return _automaton(cls, dict(alphabet=alphabet, states=states, initial=initial, **observed), trans_rows, source)
 
 
 def _automaton(cls, fields: dict, trans_rows, source: str) -> Dfa | Dfao:
@@ -150,51 +163,6 @@ def _check_rows(trans_rows, fields: dict, source: str):
         if (state, letter) in seen:
             raise FormatError(f"duplicate transition for ({state!r}, {letter!r})", source, lineno)
         seen.add((state, letter))
-
-
-def _parse_tag(rows, source: str) -> TagSystem:
-    seen: dict = {}
-    modulus = symbols = start = None
-    rules: dict = {}
-    coding: dict = {}
-
-    for lineno, tokens in rows:
-        head = tokens[0]
-        if head == "morph":
-            if len(tokens) < 3 or tokens[2] != "->":
-                raise FormatError("'morph' takes: symbol -> image...", source, lineno)
-            symbol = tokens[1]
-            if symbol in rules:
-                raise FormatError(f"duplicate rule for symbol {symbol!r}", source, lineno)
-            rules[symbol] = tokens[3:]
-            continue
-        rest = tokens[1:]
-        if head == "code":
-            _labels(rest, coding, "coding", "symbol", source, lineno)
-        elif head == "modulus":
-            _single(seen, lineno, head, source)
-            if len(rest) != 1 or not rest[0].isdecimal():
-                raise FormatError("'modulus' takes one non-negative integer", source, lineno)
-            modulus = int(rest[0])
-        elif head == "symbols":
-            _single(seen, lineno, head, source)
-            symbols = tuple(rest)
-        elif head == "start":
-            _single(seen, lineno, head, source)
-            if len(rest) != 1:
-                raise FormatError("'start' takes exactly one symbol", source, lineno)
-            start = rest[0]
-        else:
-            raise FormatError(f"unknown directive {head!r}", source, lineno)
-
-    for directive, value in (("modulus", modulus), ("symbols", symbols), ("start", start)):
-        if value is None:
-            raise FormatError(f"missing {directive!r} directive", source)
-
-    try:
-        return TagSystem(modulus=modulus, symbols=symbols, start=start, rules=rules, coding=coding)
-    except InvalidTagSystemError as exc:
-        raise FormatError(str(exc), source) from exc
 
 
 def dump(machine: Machine | TagSystem) -> str:

@@ -262,6 +262,55 @@ def test_id_and_label_messages_are_pinned():
         assert str(err.value) == message
 
 
+# Files with more than one fault, and the whole message each must give: the
+# first bad line in file order wins, and line errors come before problems of
+# the whole file (missing directives, then the constructor's checks).
+PRECEDENCE = [
+    # arity of a single-valued directive before a later duplicate
+    ("type dfa\nalphabet a b\nstates s\ninitial s t\nstates s\n", "f.aut:4: 'initial' takes exactly one state id"),
+    # on one line, a duplicate before the arity
+    ("type dfa\nalphabet a b\ninitial s\ninitial s t\n", "f.aut:4: duplicate 'initial' directive (first on line 3)"),
+    # an observation of the other automaton type before an unknown head
+    ("type dfao\nalphabet 0 1\naccepting s\nbogus x\n", "f.aut:3: 'accepting' only belongs in a dfa"),
+    ("type dfao\naccepting s\naccepting s\n", "f.aut:2: 'accepting' only belongs in a dfa"),
+    ("type dfao\noutputs s=1\noutputs s\n", "f.aut:3: duplicate 'outputs' directive (first on line 2)"),
+    # a bad code token before a missing directive
+    ("type tag\nmodulus 2\nsymbols p\ncode p\n", "f.tag:4: malformed coding 'p', expected symbol=letter"),
+    # the rows of one type are unknown directives in the others
+    ("type tag\nmodulus 2\nsymbols p\nstart p\ntrans p a p\n", "f.tag:5: unknown directive 'trans'"),
+    ("type tag\nmodulus 2\naccepting p\n", "f.tag:3: unknown directive 'accepting'"),
+    ("type dfa\nalphabet a b\nmorph p -> p p\n", "f.aut:3: unknown directive 'morph'"),
+    ("type dfa\nalphabet a b\ncode p=1\n", "f.aut:3: unknown directive 'code'"),
+    ("type dfa\ntype dfa\n", "f.aut:2: unknown directive 'type'"),
+    # a non-decimal modulus that is also a duplicate, and the other way round
+    ("type tag\nmodulus 2\nmodulus two\n", "f.tag:3: duplicate 'modulus' directive (first on line 2)"),
+    ("type tag\nmodulus two\nmodulus 2\n", "f.tag:2: 'modulus' takes one non-negative integer"),
+    # a malformed rule before a duplicate symbol
+    ("type tag\nmorph p -> p p\nmorph p p p\n", "f.tag:3: 'morph' takes: symbol -> image..."),
+    # a malformed row before a missing directive; a missing directive before
+    # what the rows name, and missing ones in table order
+    ("type dfa\nalphabet a b\nstates s\naccepting\ntrans s a\n", "f.aut:5: 'trans' takes: source letter target"),
+    ("type dfa\nalphabet a b\nstates s\naccepting\ntrans s a t\n", "f.aut: missing 'initial' directive"),
+    ("type dfao\nalphabet 0 1\nstates s\ninitial s\ntrans s 0 s\n", "f.aut: missing 'outputs' directive"),
+    (
+        "type dfa\nalphabet a b\nstates s\ninitial s\ntrans s a s\ntrans s b s\n",
+        "f.aut: missing 'accepting' directive (it may list zero ids)",
+    ),
+    ("type tag\nsymbols p\n", "f.tag: missing 'modulus' directive"),
+    (
+        "type tag\nmodulus 2\nsymbols p q\nstart p\nmorph p -> p q\ncode p=1 q=0\nmorph q -> q\n",
+        "f.tag: rule for 'q' has length 1, expected 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", PRECEDENCE)
+def test_parse_reports_the_first_fault_word_for_word(text, message):
+    with pytest.raises(FormatError) as err:
+        parse(text, source=message.partition(":")[0])
+    assert str(err.value) == message
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load(tmp_path / "nope.aut")
