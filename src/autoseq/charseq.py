@@ -9,8 +9,8 @@ letter.  It is the slow, obviously-correct reference against which the
 compiled machines are checked, so it shares no work between words and
 none of the compiler's index arithmetic.  It returns the bits as integers;
 its callers, the ``seq`` command and ``compiler.first_mismatch``, turn
-them into one line of text through a ``("0", "1")`` lookup per term, so
-the conversion stays outside the oracle.
+them into one line of text with :func:`_bits_line`, so the conversion
+stays outside the oracle.
 
 :func:`output_seq` runs a digit-reading machine on every index at once:
 it is the coded unfolding of the machine's successor table (the state of
@@ -58,6 +58,16 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
             bits.append(bit[state])
         length += 1
     return bits
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits_line(bits: list[int]) -> str:
+    """The 0/1 terms ``bits`` as one line: digits in every other byte of spaces."""
+    line = bytearray(b" ") * (2 * len(bits))
+    line[::2] = bytearray(bits).translate(_DIGITS)
+    return line[:-1].decode()
 
 
 def output_seq(dfao: Dfao, count: int) -> list[str]:

@@ -175,7 +175,7 @@ _GROUPS = {"tag": "uniform tag systems", "num": "numeral and word conversions"}
 # tracers can replace them in their modules.
 _COMMANDS = [
     ("seq", "characteristic sequence straight from a recognizer", (Dfa,), _COUNT,
-     partial(_sequence, lambda dfa, count: " ".join(map(("0", "1").__getitem__, charseq.char_seq(dfa, count))))),
+     partial(_sequence, lambda dfa, count: charseq._bits_line(charseq.char_seq(dfa, count)))),
     ("run", "output sequence of a digit machine", (Dfao,), _COUNT,
      partial(_sequence, lambda dfao, count: tagsystem._render(
          tagsystem._digit_table(dfao), dfao.initial, count, dfao.outputs))),

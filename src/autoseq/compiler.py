@@ -20,7 +20,7 @@ from itertools import compress, count as indices
 from operator import ne
 
 from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _words
-from .charseq import char_seq
+from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
 
@@ -173,15 +173,15 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     entries agree.
 
     Both sides are rendered as the lines ``run`` and ``seq`` print: the
-    compiled machine's through ``_render``, the oracle's by joining
-    :func:`char_seq`'s bits.  One string compare decides agreement; only
-    when the lines differ are they split to locate the first differing
-    index.
+    compiled machine's through ``_render``, the oracle's through
+    ``_bits_line`` of :func:`char_seq`'s bits.  One string compare decides
+    agreement; only when the lines differ are they split to locate the
+    first differing index.
     """
     _check_natural("count", count)
     compiled = compile_dfa(dfa)
     got = _render(_digit_table(compiled), compiled.initial, count, compiled.outputs)
-    want = " ".join(map(("0", "1").__getitem__, char_seq(dfa, count)))
+    want = _bits_line(char_seq(dfa, count))
     if got == want:
         return None
     return next(compress(indices(), map(ne, got.split(), want.split())))

@@ -107,8 +107,13 @@ def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
             raise FormatError(f"{head!r} takes {_ONE_VALUE[head]}", source, lineno)
         elif head == "outputs":
             _labels(tokens[1:], fields.setdefault(head, {}), "output", "state", source, lineno)
+        elif head == "modulus":
+            try:
+                fields[head] = int(tokens[1])
+            except ValueError:  # longer than the interpreter's int conversion limit
+                raise FormatError(f"'modulus' has {len(tokens[1])} digits, too many to read", source, lineno) from None
         elif head in _ONE_VALUE:
-            fields[head] = int(tokens[1]) if head == "modulus" else tokens[1]
+            fields[head] = tokens[1]
         else:
             fields[head] = tuple(tokens[1:])
 

@@ -12,6 +12,7 @@ from autoseq import (
     Dfao,
     TagSystem,
     char_seq,
+    compile_dfa,
     dfao_equivalent,
     equivalent,
     from_dfao,
@@ -20,10 +21,12 @@ from autoseq import (
     output_seq,
     save,
     seq,
+    shortlex_word,
+    to_digits,
 )
 from autoseq import cli
 from autoseq.cli import main
-from conftest import MACHINES, mod_counter, random_dfa, random_dfao
+from conftest import MACHINES, flipped_at, mod_counter, random_dfa, random_dfao
 
 NO_BB = str(MACHINES / "no_bb.aut")
 THUE_MORSE = str(MACHINES / "thue_morse.aut")
@@ -47,18 +50,32 @@ def test_seq_oeis(capsys):
     assert capsys.readouterr().out == "".join(f"{n} {v}\n" for n, v in enumerate(values))
 
 
-def test_seq_prints_the_bits_of_char_seq(tmp_path, capsys):
+def test_seq_prints_the_bits_of_char_seq(tmp_path, capsys, monkeypatch):
     rng = random.Random(31)
     counts = {0, 1, 2, 3} | {(1 << length) + shift for length in range(2, 13) for shift in (-1, 0, 1)}
+    path = str(tmp_path / "d.aut")
     for alphabet in (("a", "b"), ("b", "a"), ("x", "y")):
+        compilable = alphabet == ("a", "b")  # the only alphabet verify compiles
         for dfa in [random_dfa(rng, 6, alphabet) for _ in range(3)]:
-            save(dfa, tmp_path / "d.aut")
+            save(dfa, path)
             for count in sorted(counts):
                 bits = list(map(str, char_seq(dfa, count)))
-                assert main(["seq", str(tmp_path / "d.aut"), "--count", str(count)]) == 0
+                assert main(["seq", path, "--count", str(count)]) == 0
                 assert capsys.readouterr().out == " ".join(bits) + "\n", (alphabet, count)
-                assert main(["seq", str(tmp_path / "d.aut"), "--count", str(count), "--oeis"]) == 0
+                assert main(["seq", path, "--count", str(count), "--oeis"]) == 0
                 assert capsys.readouterr().out == "".join(f"{n} {bit}\n" for n, bit in enumerate(bits))
+                if compilable:
+                    assert main(["verify", path, "--count", str(count)]) == 0
+                    assert capsys.readouterr().out == f"OK {count}\n", count
+            # one term of the compiled machine flipped: verify names its index
+            for index in (0, 1, 2, 63, 64, 4096) if compilable else ():
+                mutant = flipped_at(compile_dfa(dfa), index)
+                with monkeypatch.context() as patched:
+                    patched.setattr("autoseq.compiler.compile_dfa", lambda dfa, minimize=True: mutant)
+                    assert main(["verify", path, "--count", "4097"]) == 2
+                word = shortlex_word(index, alphabet) or "Λ"
+                numeral = to_digits(index, 2) or "Λ"
+                assert capsys.readouterr().out == f"mismatch at index {index} (word {word}, numeral {numeral})\n"
 
 
 def test_run(capsys):

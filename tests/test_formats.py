@@ -190,6 +190,14 @@ def test_parse_tag_errors():
     assert str(err.value).startswith("sup.tag:2:")
 
 
+def test_parse_names_the_line_of_a_modulus_too_long_to_read():
+    # past the interpreter's int conversion limit (4300 digits by default)
+    text = "type tag\nmodulus " + "7" * 5000 + "\nsymbols p\nstart p\nmorph p -> p p\ncode p=1\n"
+    with pytest.raises(FormatError) as err:
+        parse(text, source="big.tag")
+    assert str(err.value) == "big.tag:2: 'modulus' has 5000 digits, too many to read"
+
+
 def test_parse_tag_wraps_validation_problems():
     text = "type tag\nmodulus 2\nsymbols p q\nstart p\nmorph p -> p q\ncode p=1 q=0\n"
     with pytest.raises(FormatError) as err:

@@ -5,8 +5,9 @@ files, minimization is canonical, agrees with Moore's refinement and
 ignores the declared order of states and any state that is not reached,
 compile and split give the machines their definitions build,
 split-then-glue gives back the compiled machine, a line rendered from
-subtree blocks is the joined unfolding, and ``first_mismatch`` finds a
-flipped term wherever it lies in that line."""
+subtree blocks is the joined unfolding, so is the line built from the
+oracle's bits, and ``first_mismatch`` finds a flipped term wherever it
+lies in that line."""
 
 from itertools import count
 from unittest.mock import patch
@@ -36,6 +37,7 @@ from autoseq import (
     parse,
     split_dfa,
 )
+from autoseq.charseq import _bits_line
 from autoseq.tagsystem import _render, _unfold
 from conftest import flipped_at, moore_minimize, reference_automaton, reference_tag_problems, reference_validate
 
@@ -389,6 +391,12 @@ def test_constructions_equal_their_definitions(dfa):
 def test_render_joins_the_unfolding(drawn, count):
     table, start, label = drawn
     assert _render(table, start, count, label) == " ".join(map(label.__getitem__, _unfold(table, start, count)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), max_size=5000))
+def test_bits_line_joins_the_bits(bits):
+    assert _bits_line(bits) == " ".join(map(str, bits))
 
 
 def _block_width(symbols, count):
