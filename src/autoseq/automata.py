@@ -351,10 +351,12 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
 
     The states of each block sit in one slice ``elems[first[b]:end[b]]``,
     and those marked by the current splitter are swapped to its front, up
-    to ``mid[b]``.  When a block splits, both halves must wait as splitters
-    if the block was waiting; otherwise the smaller half suffices.  So each
-    state is handed over as a splitter O(log n) times, and the whole
-    refinement costs O(k n log n) for n states and k letters.
+    to ``mid[b]``.  When a block splits, its smaller part becomes a new
+    block, which is always queued as a splitter, while the larger part keeps
+    the old number and with it any place in the queue (Hopcroft's rule): a
+    waiting block then waits in both parts, and otherwise the smaller part
+    suffices.  So each state is handed over as a splitter O(log n) times,
+    and the whole refinement costs O(k n log n) for n states and k letters.
     """
     n = len(observed)
     preds = [[[] for _ in range(n)] for _ in range(k)]
@@ -379,12 +381,10 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
     mid = first[:]
     # Stability under all blocks but one implies stability under the last.
     largest = max(range(len(first)), key=lambda b: end[b] - first[b])
-    waiting = [b != largest for b in range(len(first))]
-    pending = [b for b in range(len(first)) if waiting[b]]
+    pending = [b for b in range(len(first)) if b != largest]
 
     while pending:
         splitter = pending.pop()
-        waiting[splitter] = False
         members = elems[first[splitter]:end[splitter]]
         for into in preds:
             touched = []
@@ -404,18 +404,21 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
                 if m == end[b]:
                     mid[b] = first[b]
                     continue
-                # The marked front of b becomes a new block.
+                # The smaller of the marked front and the rest becomes a new block.
                 new = len(first)
-                first.append(first[b])
-                end.append(m)
-                mid.append(first[b])
-                waiting.append(False)
-                first[b] = mid[b] = m
-                for pos in range(first[new], m):
+                if m - first[b] <= end[b] - m:
+                    first.append(first[b])
+                    end.append(m)
+                    first[b] = m
+                else:
+                    first.append(m)
+                    end.append(end[b])
+                    end[b] = m
+                mid.append(first[new])
+                mid[b] = first[b]
+                for pos in range(first[new], end[new]):
                     block[elems[pos]] = new
-                half = new if waiting[b] or m - first[new] <= end[b] - m else b
-                waiting[half] = True
-                pending.append(half)
+                pending.append(new)
     return block
 
 

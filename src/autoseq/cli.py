@@ -99,7 +99,13 @@ def _text(render, args, machine) -> int:
 
 
 def _conversion(convert, args) -> int:
-    print(convert(args))
+    result = convert(args)
+    try:
+        text = str(result)
+    except ValueError:  # an int past the interpreter's limit on decimal digits
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"the result is too long to print in decimal (more than {limit} digits)") from None
+    print(text)
     return 0
 
 

@@ -6,8 +6,10 @@ characteristic sequence under shortlex order.  The construction tracks, in
 each state, the pair of recognizer states reached on the current shortlex
 word and on its predecessor: appending the digit 1 to the numeral of n
 yields 2n+1, whose word extends word(n) by the first letter, while the
-digit 0 yields 2n, whose word extends word(n-1) by the second letter.  A
-separate start state absorbs leading zeros, looping on the digit 0.
+digit 0 yields 2n, whose word extends word(n-1) by the second letter.  The
+start pair is (s(0), s(-1)): at n = -1 the recurrence reads word(-1)·a =
+word(-1) and word(-1)·b = word(0), so a virtual state s(-1) loops on a and
+enters the initial state on b, and the start pair loops on the digit 0.
 
 The module also goes the other way around: ``split_dfa`` cuts that loop to
 separate the numerals of the 1-positions from those of the 0-positions,
@@ -24,33 +26,27 @@ from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
 
-# Raw compiled state meaning "nothing but zeros read so far" (index 0).
-_ZERO = None
-
 
 def _pair_graph(dfa: Dfa):
     """Start node, digits, step and output of the compiler's pair graph,
-    whose start node ``_ZERO`` loops on the digit 0."""
+    whose start node (s(0), s(-1)) holds the virtual s(-1) as ``None``:
+    word(-1)·a = word(-1) and word(-1)·b = word(0), so a keeps it in place
+    and b leads to the initial state."""
     if tuple(dfa.alphabet) != ("a", "b"):
         raise _AlphabetError(dfa, "the compiler expects the alphabet 'a b' in that order")
     first, second = dfa.alphabet
-    delta = dfa.transitions
-    start = dfa.initial
+    delta = {**dfa.transitions, (None, first): None, (None, second): dfa.initial}
 
     def step(raw, digit):
-        if raw is _ZERO:
-            # Reading 1 moves from index 0 to index 1: word "a", predecessor "".
-            return _ZERO if digit == "0" else (delta[start, first], start)
         on_n, on_prev = raw
         if digit == "1":
             return (delta[on_n, first], delta[on_prev, second])
         return (delta[on_prev, second], delta[on_prev, first])
 
     def label(raw):
-        tracked = start if raw is _ZERO else raw[0]
-        return "1" if tracked in dfa.accepting else "0"
+        return "1" if raw[0] in dfa.accepting else "0"
 
-    return _ZERO, ("0", "1"), step, label
+    return (dfa.initial, None), ("0", "1"), step, label
 
 
 def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
@@ -61,7 +57,7 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
     the leading-zeros state.  At most |Q|**2 + 1 states are created.
     """
     compiled, order = _build(Dfao, *_pair_graph(dfa))
-    return compiled, dict(zip(compiled.states, order))
+    return compiled, dict(zip(compiled.states, [None, *order[1:]]))
 
 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
@@ -175,8 +171,9 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     Both sides are rendered as the lines ``run`` and ``seq`` print: the
     compiled machine's through ``_render``, the oracle's through
     ``_bits_line`` of :func:`char_seq`'s bits.  One string compare decides
-    agreement; only when the lines differ are they split to locate the
-    first differing index.
+    agreement.  Both lines hold one-character terms separated by single
+    spaces, so term n is character 2n, and only when the lines differ are
+    their even characters compared to locate the first differing index.
     """
     _check_natural("count", count)
     compiled = compile_dfa(dfa)
@@ -184,4 +181,4 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     want = _bits_line(char_seq(dfa, count))
     if got == want:
         return None
-    return next(compress(indices(), map(ne, got.split(), want.split())))
+    return next(compress(indices(), map(ne, got[::2], want[::2])))

@@ -4,7 +4,9 @@ Numerals are strings of digit characters read most-significant first.  The
 canonical numeral of n has no leading zeros; 0 is written as the empty
 string.  Over a two-letter alphabet, listing all words by length and then
 alphabetically (shortlex order) matches bijective base 2: appending the
-first letter sends index n to 2n+1, the second to 2n+2.  That gives O(log n)
+first letter sends index n to 2n+1, the second to 2n+2.  As these append
+the digits 0 and 1 to the numeral of n+1, word(n) is bin(n+1) without its
+leading 1, with 0 read as the first letter and 1 as the second.  That gives
 conversions both ways without enumerating anything.
 """
 
@@ -62,41 +64,27 @@ def shortlex_word(n: int, alphabet=("a", "b")) -> str:
     is the empty word)."""
     first, second = _check_alphabet(alphabet)
     _check_natural("n", n)
-    letters = []
-    while n:
-        n, r = divmod(n - 1, 2)
-        letters.append(first if r == 0 else second)
-    return "".join(reversed(letters))
+    return format(n + 1, "b")[1:].translate(str.maketrans("01", first + second))
 
 
 def shortlex_index(word: str, alphabet=("a", "b")) -> int:
     """Position of ``word`` in the shortlex enumeration; inverse of
     :func:`shortlex_word`."""
     first, second = _check_alphabet(alphabet)
-    n = 0
-    for letter in word:
-        if letter == first:
-            n = 2 * n + 1
-        elif letter == second:
-            n = 2 * n + 2
-        else:
-            raise ValueError(f"letter {letter!r} is not in the alphabet {first + second!r}")
-    return n
+    stray = word.translate(str.maketrans("", "", first + second))
+    if stray:
+        raise ValueError(f"letter {stray[0]!r} is not in the alphabet {first + second!r}")
+    return int("1" + word.translate(str.maketrans(first + second, "01")), 2) - 1
 
 
 def bits_to_letters(bits: str, alphabet=("a", "b")) -> str:
     """Rewrite a word of binary digits letterwise: 0 to the first letter,
     1 to the second."""
     first, second = _check_alphabet(alphabet)
-    out = []
-    for ch in bits:
-        if ch == "0":
-            out.append(first)
-        elif ch == "1":
-            out.append(second)
-        else:
-            raise ValueError(f"invalid binary digit {ch!r} in {bits!r}")
-    return "".join(out)
+    stray = bits.translate(str.maketrans("", "", "01"))
+    if stray:
+        raise ValueError(f"invalid binary digit {stray[0]!r} in {bits!r}")
+    return bits.translate(str.maketrans("01", first + second))
 
 
 def increment_bits(bits: str) -> str:

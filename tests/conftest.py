@@ -1,9 +1,10 @@
 """Shared fixtures and helpers: checked-in machines, seeded random machines,
 the mod-N letter counters, output machines with one index flipped, a
-brute-force word enumerator used as the oracle for shortlex indexing,
-Moore's refinement as the reference for minimization, and item-by-item
-structural checks as the reference for validation and for building a
-machine from the ``trans`` rows of a file."""
+brute-force word enumerator used as the oracle for shortlex indexing, the
+bijective base-2 recurrence as the reference for the closed-form shortlex
+conversions, Moore's refinement as the reference for minimization, and
+item-by-item structural checks as the reference for validation and for
+building a machine from the ``trans`` rows of a file."""
 
 import itertools
 import random
@@ -31,6 +32,33 @@ def words_in_order(alphabet, count):
                 return out
             out.append("".join(letters))
         length += 1
+
+
+def reference_shortlex_word(n: int, alphabet=("a", "b")) -> str:
+    """Reference for ``shortlex_word``: the bijective base-2 recurrence read
+    backwards, one ``divmod`` per letter (word(2m+1) = word(m) + first
+    letter, word(2m+2) = word(m) + second letter)."""
+    first, second = alphabet
+    letters = []
+    while n:
+        n, r = divmod(n - 1, 2)
+        letters.append(first if r == 0 else second)
+    return "".join(reversed(letters))
+
+
+def reference_shortlex_index(word: str, alphabet=("a", "b")) -> int:
+    """Reference for ``shortlex_index``: the same recurrence read forwards,
+    one letter at a time, naming the first letter outside the alphabet."""
+    first, second = alphabet
+    n = 0
+    for letter in word:
+        if letter == first:
+            n = 2 * n + 1
+        elif letter == second:
+            n = 2 * n + 2
+        else:
+            raise ValueError(f"letter {letter!r} is not in the alphabet {first + second!r}")
+    return n
 
 
 def random_dfa(rng: random.Random, max_states=6, alphabet=("a", "b")) -> Dfa:

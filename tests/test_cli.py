@@ -297,6 +297,24 @@ def test_num_rejects_bad_words(capsys):
     capsys.readouterr()
 
 
+def test_num_names_a_result_too_long_to_print_in_decimal(capsys):
+    # the interpreter refuses to write an int of more decimal digits than
+    # its limit (4300 by default); the error names that limit instead of
+    # giving the interpreter's advice
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (["num", "nu", "7" * 5000, "--base", "10"], ["num", "phi-inv", "ab" * 8000]):
+            assert main(argv) == 1, argv[:2]
+            assert capsys.readouterr() == (
+                "", "error: the result is too long to print in decimal (more than 4300 digits)\n"
+            )
+        assert main(["num", "phi-inv", "ab" * 7000]) == 0  # 4215 digits still print
+        assert len(capsys.readouterr().out) == 4215 + 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert main(["bogus"]) == 1
     capsys.readouterr()

@@ -6,12 +6,14 @@ ignores the declared order of states and any state that is not reached,
 compile and split give the machines their definitions build,
 split-then-glue gives back the compiled machine, a line rendered from
 subtree blocks is the joined unfolding, so is the line built from the
-oracle's bits, and ``first_mismatch`` finds a flipped term wherever it
-lies in that line."""
+oracle's bits, ``first_mismatch`` finds a flipped term wherever it
+lies in that line, and the closed-form shortlex conversions agree with the
+bijective base-2 recurrence, also on the letter they reject."""
 
 from itertools import count
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,11 +37,21 @@ from autoseq import (
     minimize_dfao,
     output_seq,
     parse,
+    shortlex_index,
+    shortlex_word,
     split_dfa,
 )
 from autoseq.charseq import _bits_line
 from autoseq.tagsystem import _render, _unfold
-from conftest import flipped_at, moore_minimize, reference_automaton, reference_tag_problems, reference_validate
+from conftest import (
+    flipped_at,
+    moore_minimize,
+    reference_automaton,
+    reference_shortlex_index,
+    reference_shortlex_word,
+    reference_tag_problems,
+    reference_validate,
+)
 
 # Seeded and without an example database, so every run checks the same cases.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -451,3 +463,31 @@ def test_first_mismatch_finds_a_flipped_term_anywhere_in_the_line(case):
     assert brute == (index if index < count else None)
     with patch("autoseq.compiler.compile_dfa", lambda dfa, minimize=True: mutant):
         assert first_mismatch(dfa, count) == brute
+
+
+# Indices of up to 4000 bits, so words of up to 4000 letters, and two alphabets.
+BIG_INDICES = st.integers(0, (1 << 4000) - 1)
+SHORTLEX_ALPHABETS = st.sampled_from([("a", "b"), ("x", "y")])
+
+
+@PROPERTY
+@given(BIG_INDICES, SHORTLEX_ALPHABETS)
+def test_shortlex_conversions_follow_the_bijective_recurrence(n, alphabet):
+    word = shortlex_word(n, alphabet)
+    assert word == reference_shortlex_word(n, alphabet)
+    assert shortlex_index(word, alphabet) == n
+
+
+@PROPERTY
+@given(BIG_INDICES, SHORTLEX_ALPHABETS, st.lists(CHARACTER, min_size=1, max_size=3), st.data())
+def test_shortlex_index_names_the_stray_letter_the_recurrence_meets(n, alphabet, strays, data):
+    assume(not set(strays) & set(alphabet))
+    letters = list(shortlex_word(n, alphabet))
+    for stray in strays:
+        letters.insert(data.draw(st.integers(0, len(letters))), stray)
+    word = "".join(letters)
+    with pytest.raises(ValueError) as expected:
+        reference_shortlex_index(word, alphabet)
+    with pytest.raises(ValueError) as got:
+        shortlex_index(word, alphabet)
+    assert str(got.value) == str(expected.value)
