@@ -14,15 +14,17 @@ of tuples, dicts and strings without reference cycles, which reference
 counting frees, so those collections find nothing.  Library calls leave the
 collector as their caller set it.
 
-Exit codes: 0 on success, 1 when the input is at fault (unreadable or
-malformed files, bad words, languages that do not partition the numerals),
-2 when an internal cross-check fails.
+:func:`main` runs parsing, loading and the handler in one ``try``: it returns
+0 on success; 1 on bad arguments or input (argparse, ``ValueError``,
+``OSError``) and, silently, when the reader closes stdout early; 2 only when
+``verify`` or ``tag check`` fails its cross-check.  Other exceptions escape.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
@@ -126,10 +128,8 @@ def cmd_split(args, dfa) -> int:
         (ones, args.out_ones, "numerals of the 1-positions"),
         (zeros, args.out_zeros, "numerals of the 0-positions"),
     ):
-        if path:
-            formats.save(machine, path)
-        else:
-            sys.stdout.write(f"# {comment}\n" + formats.dump(machine))
+        text = formats.dump(machine)
+        _emit(text if path else f"# {comment}\n{text}", path)
     return 0
 
 
@@ -254,21 +254,22 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 1
-        try:
-            if not args.kinds:
-                return args.handler(args)
-            with _load(args.machine, *args.kinds) as machine:
-                return args.handler(args, machine)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except RuntimeError as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 2
+        args = _build_parser().parse_args(argv)
+        if not args.kinds:
+            return args.handler(args)
+        with _load(args.machine, *args.kinds) as machine:
+            return args.handler(args, machine)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    except BrokenPipeError:
+        # The reader closed stdout: what is still buffered there, which the
+        # interpreter flushes at exit, goes to the null device instead.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if enabled:
             gc.enable()

@@ -90,11 +90,9 @@ def bits_to_letters(bits: str, alphabet=("a", "b")) -> str:
 def increment_bits(bits: str) -> str:
     """Add one to a fixed-width binary window: same length, value + 1
     modulo 2**len(bits).  The empty word maps to itself."""
-    if not bits:
-        return ""
     width = len(bits)
     value = (from_digits(bits, 2) + 1) % (1 << width)
-    return format(value, f"0{width}b")
+    return format(value | 1 << width, "b")[1:]
 
 
 def increment_letters(bits: str, alphabet=("a", "b")) -> str:

@@ -141,7 +141,6 @@ def _render(table: Mapping[str, tuple[str, ...]], start: str, count: int, label:
     block costs more per label than an unfolded term; when none fits, the
     labels of one ``_unfold`` are joined as they are.
     """
-    _check_natural("count", count)
     base = len(table[start])
     depth, width = 0, 1
     while width * base * max(4 * len(table), width * base) <= count:

@@ -1,6 +1,8 @@
 import argparse
 import gc
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -268,6 +270,11 @@ def test_tag_check_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr("autoseq.cli.tagsystem.is_fixed_point_prefix", lambda s, d: False)
     assert main(["tag", "check", TAG, "--depth", "8"]) == 2
     assert "not a fixed point" in capsys.readouterr().out
+    monkeypatch.undo()
+    descend = cli.tagsystem.intseq_term
+    monkeypatch.setattr("autoseq.cli.tagsystem.intseq_term", lambda s, n: "?" if n == 11 else descend(s, n))
+    assert main(["tag", "check", TAG, "--depth", "8"]) == 2
+    assert capsys.readouterr().out == "digit descent disagrees with substitution at index 11\n"
 
 
 def test_num_commands(capsys):
@@ -328,6 +335,19 @@ def test_help_exits_cleanly(capsys):
 def test_missing_count_is_an_input_error(capsys):
     assert main(["seq", NO_BB]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["seq", NO_BB], ["run", FAO, "--oeis"], ["tag", "seq", TAG]])
+def test_a_closed_stdout_exits_1_without_a_message(argv):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "autoseq.cli", *argv, "--count", "1000000"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as process:
+        assert len(process.stdout.read(10)) == 10
+        process.stdout.close()
+        assert process.stderr.read() == b""
+        process.stderr.close()
+        assert process.wait() == 1
 
 
 def test_unreadable_file(tmp_path, capsys):

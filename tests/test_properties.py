@@ -205,7 +205,7 @@ def damage_automaton(data, kind, machine) -> dict:
             # with transitions from an undeclared state, so that the count
             # still equals |states| * |alphabet|
             delta.update({(bad, letter): machine.initial for letter in fields["alphabet"]})
-        elif fault == "source":
+        elif fault == "source" and fields["alphabet"]:
             delta[bad, data.draw(st.sampled_from(fields["alphabet"]))] = machine.initial
         elif fault == "letter" and states:
             delta[data.draw(st.sampled_from(states)), data.draw(st.sampled_from(["?", "ab", 0]))] = machine.initial
@@ -213,6 +213,8 @@ def damage_automaton(data, kind, machine) -> dict:
             delta[data.draw(st.sampled_from(sorted(delta, key=repr)))] = bad
         elif fault == "missing" and delta:
             del delta[data.draw(st.sampled_from(sorted(delta, key=repr)))]
+        elif fault == "alphabet" and data.draw(st.booleans()):
+            fields["alphabet"].clear()
         elif fault == "alphabet":
             fields["alphabet"].append(data.draw(st.sampled_from(["", "ab", " ", "#", *fields["alphabet"]])))
         elif fault == "initial":
