@@ -4,9 +4,9 @@ Machines are frozen dataclasses over string state ids and single-character
 letters.  Construction validates the whole structure once (including totality
 of the transition and output maps); after that every operation in this module
 is a pure function returning fresh machines, so values can be shared freely.
-Validation tests each field whole, with set operations on its ids, keys and
-targets; only a field that fails is read item by item, which words its
-problems one by one in a fixed order.
+Validation builds each record's id sets once and hands them to every check;
+each tests its field whole with set operations, and only a field that fails
+is read item by item, which words its problems one by one in a fixed order.
 
 A Dfa is a Dfao whose output is "accepting or not": both are one record
 but for that field.  The algorithms see a state only through its
@@ -37,12 +37,16 @@ from itertools import compress, product
 from typing import Callable, Hashable, Mapping
 
 
-class InvalidAutomatonError(ValueError):
-    """Structural validation failed; ``problems`` lists every violation."""
+class _ProblemsError(ValueError):
+    """A record failed validation; ``problems`` lists every violation."""
 
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class InvalidAutomatonError(_ProblemsError):
+    """Structural validation failed; ``problems`` lists every violation."""
 
 
 class _MachineError(ValueError):
@@ -111,14 +115,7 @@ Machine = Dfa | Dfao
 
 
 def _token_problem(kind: str, value) -> str | None:
-    if (
-        not isinstance(value, str)
-        or not value
-        or len(value.split()) != 1
-        or value != value.strip()
-        or "#" in value
-        or "=" in value
-    ):
+    if not isinstance(value, str) or value.split() != [value] or "#" in value or "=" in value:
         return f"{kind} {value!r} must be a nonempty token without whitespace, '#' or '='"
     return None
 
@@ -144,9 +141,9 @@ def _sorted(items) -> list:
         return sorted(items, key=repr)
 
 
-def _id_problems(ids, kind: str, plural: str) -> list[str]:
-    """Problems with declared ids: none at all, bad tokens, duplicates."""
-    if ids and _all_tokens(ids) and len(set(ids)) == len(ids):
+def _id_problems(ids, declared: set, kind: str, plural: str) -> list[str]:
+    """Problems with the ids whose set is ``declared``: none at all, bad tokens, duplicates."""
+    if ids and _all_tokens(ids) and len(declared) == len(ids):
         return []
     problems = [] if ids else [f"no {plural} declared"]
     seen = set()
@@ -160,9 +157,8 @@ def _id_problems(ids, kind: str, plural: str) -> list[str]:
     return problems
 
 
-def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
+def _label_problems(labels: Mapping, ids, declared: set, what: str, owner: str) -> list[str]:
     """Problems with a letter per id: undeclared ids, bad letters, missing ids."""
-    declared = set(ids)
     if labels.keys() == declared and _all_tokens(labels.values()):
         return []
     problems = []
@@ -178,11 +174,10 @@ def _label_problems(labels: Mapping, ids, what: str, owner: str) -> list[str]:
     return problems
 
 
-def _transition_problems(transitions: Mapping, states, alphabet) -> list[str]:
+def _transition_problems(transitions: Mapping, states, alphabet, declared: set, letters: set) -> list[str]:
     """Problems with the transition map: undeclared sources, letters and
     targets, missing pairs.  With distinct states and letters, a map of
     |states| * |alphabet| entries that holds every pair has no other key."""
-    declared, letters = set(states), set(alphabet)
     if (
         len(transitions) == len(declared) * len(letters) == len(states) * len(alphabet)
         and all(map(transitions.__contains__, product(states, alphabet)))
@@ -207,8 +202,8 @@ def _transition_problems(transitions: Mapping, states, alphabet) -> list[str]:
 def validate(machine: Machine) -> list[str]:
     """Every structural problem with the machine (empty list when sound)."""
     problems = []
-    alphabet = tuple(machine.alphabet)
-    states = tuple(machine.states)
+    alphabet, states = machine.alphabet, machine.states
+    letters, declared = set(alphabet), set(states)
 
     if not alphabet:
         problems.append("alphabet is empty")
@@ -220,8 +215,7 @@ def validate(machine: Machine) -> list[str]:
             problems.append(f"duplicate alphabet letter {letter!r}")
         seen.add(letter)
 
-    problems += _id_problems(states, "state id", "states")
-    declared = set(states)
+    problems += _id_problems(states, declared, "state id", "states")
     if machine.initial not in declared:
         problems.append(f"initial state {machine.initial!r} is not declared")
 
@@ -231,11 +225,11 @@ def validate(machine: Machine) -> list[str]:
             if state not in declared:
                 problems.append(f"accepting state {state!r} is not declared")
 
-    problems += _transition_problems(machine.transitions, states, alphabet)
+    problems += _transition_problems(machine.transitions, states, alphabet, declared, letters)
 
     outputs = getattr(machine, "outputs", None)
     if outputs is not None:
-        problems += _label_problems(outputs, states, "output", "state")
+        problems += _label_problems(outputs, states, declared, "output", "state")
     return problems
 
 

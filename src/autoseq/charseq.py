@@ -60,13 +60,13 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
     return bits
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits_line(bits: list[int]) -> str:
     """The 0/1 terms ``bits`` as one line: digits in every other byte of spaces."""
     line = bytearray(b" ") * (2 * len(bits))
-    line[::2] = bytearray(bits).translate(_DIGITS)
+    line[::2] = bytearray(bits).translate(_BITS_TO_TEXT)
     return line[:-1].decode()
 
 

@@ -16,19 +16,15 @@ as text, and the line joins those blocks (``_render``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, product
 from typing import Mapping
 
-from .automata import Dfao, _AlphabetError, _MachineError, _id_problems, _label_problems, _sorted
+from .automata import Dfao, _AlphabetError, _MachineError, _ProblemsError, _id_problems, _label_problems, _sorted
 from .numeration import _DIGITS, _check_natural
 
 
-class InvalidTagSystemError(ValueError):
+class InvalidTagSystemError(_ProblemsError):
     """Structural validation failed; ``problems`` lists every violation."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass(frozen=True)
@@ -58,13 +54,13 @@ class TagSystem:
         problems = []
         if not isinstance(self.modulus, int) or self.modulus < 2:
             problems.append(f"modulus must be an integer >= 2, got {self.modulus!r}")
-        problems += _id_problems(self.symbols, "symbol", "symbols")
         declared = set(self.symbols)
+        problems += _id_problems(self.symbols, declared, "symbol", "symbols")
         if self.start not in declared:
             problems.append(f"start symbol {self.start!r} is not declared")
 
         problems += self._rule_problems(declared)
-        problems += _label_problems(self.coding, self.symbols, "coding", "symbol")
+        problems += _label_problems(self.coding, self.symbols, declared, "coding", "symbol")
 
         if not problems and self.rules[self.start][0] != self.start:
             problems.append(
@@ -104,14 +100,13 @@ class TagSystem:
 
 def _digit_table(dfao: Dfao) -> dict[str, tuple[str, ...]]:
     """Successors of every state on the digits 0..k-1, which must be the
-    alphabet, keyed in declared state order.  Each digit's column is looked
-    up in one pass over the states, and the rows are those columns zipped."""
+    alphabet, keyed in declared state order.  The successors are looked up
+    in one pass over the (state, digit) pairs and cut into rows of k."""
     base = len(dfao.alphabet)
     if tuple(dfao.alphabet) != tuple(_DIGITS[:base]) or base < 2:
         raise _AlphabetError(dfao, f"need the digit alphabet 0..{base - 1 if base >= 2 else 1} in order")
-    states = dfao.states
-    columns = [map(dfao.transitions.__getitem__, zip(states, repeat(digit))) for digit in dfao.alphabet]
-    return dict(zip(states, zip(*columns)))
+    targets = map(dfao.transitions.__getitem__, product(dfao.states, dfao.alphabet))
+    return dict(zip(dfao.states, zip(*[targets] * base)))
 
 
 def _unfold(table: Mapping[str, tuple[str, ...]], start: str, count: int) -> list[str]:

@@ -4,7 +4,8 @@ brute-force word enumerator used as the oracle for shortlex indexing, the
 bijective base-2 recurrence as the reference for the closed-form shortlex
 conversions, Moore's refinement as the reference for minimization, and
 item-by-item structural checks as the reference for validation and for
-building a machine from the ``trans`` rows of a file."""
+building a machine from the ``trans`` rows of a file, with the token rule
+tested one clause at a time."""
 
 import itertools
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from autoseq import Dfa, Dfao, FormatError, InvalidAutomatonError, load, to_digits
-from autoseq.automata import _build, _observer, _sorted, _token_problem, reachable_states
+from autoseq.automata import _build, _observer, _sorted, reachable_states
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -161,11 +162,26 @@ def moore_minimize(machine):
     return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
 
 
+def reference_token_problem(kind, value):
+    """Reference for ``_token_problem``: each way a value can fail to be a
+    token tested on its own."""
+    if (
+        not isinstance(value, str)
+        or not value
+        or len(value.split()) != 1
+        or value != value.strip()
+        or "#" in value
+        or "=" in value
+    ):
+        return f"{kind} {value!r} must be a nonempty token without whitespace, '#' or '='"
+    return None
+
+
 def _reference_id_problems(ids, kind, plural):
     problems = [] if ids else [f"no {plural} declared"]
     seen = set()
     for name in ids:
-        bad = _token_problem(kind, name)
+        bad = reference_token_problem(kind, name)
         if bad:
             problems.append(bad)
         elif name in seen:
@@ -180,7 +196,7 @@ def _reference_label_problems(labels, ids, what, owner):
     for name, letter in _sorted(labels.items()):
         if name not in declared:
             problems.append(f"{what} for undeclared {owner} {name!r}")
-        bad = _token_problem(f"{what} letter", letter)
+        bad = reference_token_problem(f"{what} letter", letter)
         if bad:
             problems.append(bad)
     for name in ids:

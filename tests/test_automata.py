@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+import autoseq
 from autoseq import (
     Dfa,
     Dfao,
     InvalidAutomatonError,
+    InvalidTagSystemError,
     accepts,
     complement,
     counterexample,
@@ -113,6 +115,18 @@ def test_dfao_requires_total_outputs():
 def test_validate_passes_sound_machines(no_bb, thue_morse):
     assert validate(no_bb) == []
     assert validate(thue_morse) == []
+
+
+def test_public_names_are_the_contract():
+    # the 52 public names are the package's contract; a base the two
+    # problems errors share stays private
+    names = autoseq.__all__
+    assert len(names) == len(set(names)) == 52
+    assert names == sorted(names)
+    assert all(hasattr(autoseq, name) and not name.startswith("_") for name in names)
+    assert issubclass(InvalidAutomatonError, ValueError) and issubclass(InvalidTagSystemError, ValueError)
+    assert not issubclass(InvalidAutomatonError, InvalidTagSystemError)
+    assert not issubclass(InvalidTagSystemError, InvalidAutomatonError)
 
 
 def test_state_ids_must_be_plain_tokens():

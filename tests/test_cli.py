@@ -375,6 +375,7 @@ ALPHABETS = {
     "ab.aut": "type dfao\nalphabet a b\nstates s\ninitial s\noutputs s=1\ntrans s a s\ntrans s b s\n",
     "noloop.aut": "type dfao\nalphabet 0 1\nstates s t\ninitial s\noutputs s=0 t=1\n"
     "trans s 0 t\ntrans s 1 s\ntrans t 0 t\ntrans t 1 s\n",
+    "dup.aut": "type dfa\nalphabet a a\nstates p\ninitial p\naccepting\ntrans p a p\n",
 }
 TWO_LETTERS = "characteristic sequences need a two-letter alphabet, got 'a b c'"
 DIGITS = "need the digit alphabet 0..1 in order, got 'a b'"
@@ -397,9 +398,10 @@ NOLOOP = "the initial state 's' has no self-loop on digit 0, so the substitution
         (["glue", "xy.aut", "abc.aut"], "xy.aut", GLUE),
         (["verify", "xy.aut", "--count", "-3"], None, "count must be a non-negative integer, got -3"),
         (["tag", "from-dfao", "noloop.aut"], "noloop.aut", NOLOOP),
+        (["seq", "dup.aut", "--count", "3"], "dup.aut", "duplicate alphabet letter 'a'"),
     ],
     ids=["seq", "run", "tag-from-dfao", "compile", "verify", "split", "glue-ones", "glue-zeros",
-         "glue-both", "verify-count", "tag-from-dfao-noloop"],
+         "glue-both", "verify-count", "tag-from-dfao-noloop", "seq-duplicate-letter"],
 )
 def test_alphabet_errors_name_the_file(tmp_path, capsys, argv, culprit, message):
     for name, text in ALPHABETS.items():

@@ -223,6 +223,9 @@ def test_id_and_label_messages_are_pinned():
     with pytest.raises(InvalidAutomatonError) as err:
         Dfao(("0",), (), "s", {}, {})
     assert err.value.problems == ["no states declared", "initial state 's' is not declared"]
+    with pytest.raises(InvalidAutomatonError) as err:
+        Dfa(("a", "b", "a"), ("p",), "p", frozenset(), {("p", "a"): "p", ("p", "b"): "p"})
+    assert err.value.problems == ["duplicate alphabet letter 'a'"]
     rules = {"p": ("p", "q"), "q": ("q", "p"), "x=y": ("p", "p")}
     with pytest.raises(InvalidTagSystemError) as err:
         TagSystem(2, ("p", "q", "p", "x=y"), "p", rules, {"p": "1", "u": "2", "x=y": "a b"})

@@ -1,13 +1,14 @@
 """Property-based checks on generated machines: the file format round-trips,
 parsing fails only with FormatError, validation and parsing word the same
 problems as the item-by-item reference checks on damaged machines and
-files, minimization is canonical, agrees with Moore's refinement and
-ignores the declared order of states and any state that is not reached,
-compile and split give the machines their definitions build,
-split-then-glue gives back the compiled machine, a line rendered from
-subtree blocks is the joined unfolding, so is the line built from the
-oracle's bits, ``first_mismatch`` finds a flipped term wherever it
-lies in that line, and the closed-form shortlex conversions agree with the
+files, the one-condition token rule agrees with the clause-by-clause one
+and with the whole-list test, minimization is canonical, agrees with
+Moore's refinement and ignores the declared order of states and any state
+that is not reached, compile and split give the machines their definitions
+build, split-then-glue gives back the compiled machine, a line rendered
+from subtree blocks is the joined unfolding, so is the line built from the
+oracle's bits, ``first_mismatch`` finds a flipped term wherever it lies in
+that line, and the closed-form shortlex conversions agree with the
 bijective base-2 recurrence, also on the letter they reject."""
 
 from itertools import count
@@ -41,6 +42,7 @@ from autoseq import (
     shortlex_word,
     split_dfa,
 )
+from autoseq.automata import _all_tokens, _token_problem
 from autoseq.charseq import _bits_line
 from autoseq.tagsystem import _render, _unfold
 from conftest import (
@@ -50,6 +52,7 @@ from conftest import (
     reference_shortlex_index,
     reference_shortlex_word,
     reference_tag_problems,
+    reference_token_problem,
     reference_validate,
 )
 
@@ -285,6 +288,24 @@ def test_validation_words_what_the_reference_words(kind, data):
     else:
         fields = damage_automaton(data, kind, data.draw(automata(kind)))
     assert outcome(lambda: kind(**fields)) == reference_outcome(lambda: kind(**fields))
+
+
+# Text rich in whitespace, '#' and '=', and values that are not strings.
+TOKEN_CANDIDATES = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from(" \t\n\x0b\x0c\x1c\x85\xa0\u2028\u3000#="))),
+    st.none(),
+    st.integers(),
+    st.binary(max_size=3),
+    st.tuples(st.text(max_size=2)),
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.lists(TOKEN_CANDIDATES, max_size=5))
+def test_token_rule_agrees_with_the_reference_and_the_whole_list_test(values):
+    for value in values:
+        assert _token_problem("id", value) == reference_token_problem("id", value)
+    assert _all_tokens(values) == all(_token_problem("id", value) is None for value in values)
 
 
 def damage_file(data, text: str) -> str:
