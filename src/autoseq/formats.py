@@ -9,15 +9,16 @@ or ``morph``) and the directives it needs exactly once.  Parsing reports the
 offending line; problems that span the whole machine (a missing directive or
 transition, say) are reported without a line number.  Of several faults,
 the first malformed line in file order is reported; failing that, the first
-missing directive; failing that, what is wrong with the machine itself.  The
-machine's constructor checks the ``trans`` rows as one map; they are read one
-by one only when a pair repeats or construction fails, to name the first line
-at fault.  Serialization is deterministic, so equal machines always dump to
-identical text.
+missing directive; failing that, what is wrong with the machine itself.  Rows
+are read one at a time, each ``trans`` row straight into the transition map
+that the machine's constructor checks whole; the text is read again only to
+name a faulty line.  Serialization is deterministic, so equal machines always
+dump to identical text.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import itemgetter
 from pathlib import Path
 
@@ -35,12 +36,14 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _rows(text: str) -> list[tuple[int, list[str]]]:
-    """``(line number, tokens)`` for every line that holds a directive."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, tokens)`` for each line that holds a directive, in turn."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    return list(filter(itemgetter(1), enumerate(map(str.split, lines), 1)))
+        lines = (line.partition("#")[0] for line in lines)
+    return filter(itemgetter(1), enumerate(map(str.split, lines), 1))
 
 
 # Per machine type: the row that makes up the bulk of a file, and the
@@ -65,9 +68,9 @@ _OBSERVED = {"accepting": "dfa", "outputs": "dfao"}
 def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
     """Parse a machine description; the ``type`` directive picks the shape."""
     rows = _rows(text)
-    if not rows:
+    lineno, tokens = next(rows, (None, None))
+    if tokens is None:
         raise FormatError("empty input: expected a 'type' directive", source)
-    lineno, tokens = rows[0]
     if tokens[0] != "type" or len(tokens) != 2:
         raise FormatError("the first directive must be 'type dfa|dfao|tag'", source, lineno)
     kind = tokens[1]
@@ -76,18 +79,19 @@ def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
     bulk, once = _DIRECTIVES[kind]
     tag = kind == "tag"
     fields: dict = {}
-    trans_rows = []
+    transitions: dict = {}
+    trans_rows = 0
     rules: dict = {}
     coding: dict = {}
 
-    for row in rows[1:]:
-        lineno, tokens = row
+    for lineno, tokens in rows:
         head = tokens[0]
         if head == bulk:
             if not tag:
                 if len(tokens) != 4:
                     raise FormatError("'trans' takes: source letter target", source, lineno)
-                trans_rows.append(row)
+                transitions[tokens[1], tokens[2]] = tokens[3]
+                trans_rows += 1
             elif len(tokens) < 3 or tokens[2] != "->":
                 raise FormatError("'morph' takes: symbol -> image...", source, lineno)
             elif tokens[1] in rules:
@@ -101,7 +105,7 @@ def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
                 raise FormatError(f"{head!r} only belongs in a {_OBSERVED[head]}", source, lineno)
             raise FormatError(f"unknown directive {head!r}", source, lineno)
         elif head in fields:
-            first = next(n for n, (other, *_) in rows if other == head)
+            first = next(n for n, (other, *_) in _rows(text) if other == head)
             raise FormatError(f"duplicate {head!r} directive (first on line {first})", source, lineno)
         elif head in _ONE_VALUE and (len(tokens) != 2 or head == "modulus" and not tokens[1].isdecimal()):
             raise FormatError(f"{head!r} takes {_ONE_VALUE[head]}", source, lineno)
@@ -127,7 +131,7 @@ def parse(text: str, source: str = "<input>") -> Dfa | Dfao | TagSystem:
             return TagSystem(rules=rules, coding=coding, **fields)
         except InvalidTagSystemError as exc:
             raise FormatError(str(exc), source) from exc
-    return _automaton(Dfa if kind == "dfa" else Dfao, fields, trans_rows, source)
+    return _automaton(Dfa if kind == "dfa" else Dfao, fields, transitions, trans_rows, text, source)
 
 
 def _labels(tokens, labels: dict, what: str, owner: str, source, lineno):
@@ -141,25 +145,24 @@ def _labels(tokens, labels: dict, what: str, owner: str, source, lineno):
         labels[name] = letter
 
 
-def _automaton(cls, fields: dict, trans_rows, source: str) -> Dfa | Dfao:
-    """The machine of ``cls`` on ``fields`` and the map the ``trans`` rows
-    spell; the rows are read in order, to name the first line at fault,
-    only when a pair repeats or construction fails."""
-    _, states, used, targets = zip(*map(itemgetter(1), trans_rows)) if trans_rows else ((),) * 4
-    transitions = dict(zip(zip(states, used), targets))
-    if len(transitions) < len(trans_rows):
-        _check_rows(trans_rows, fields, source)
+def _automaton(cls, fields: dict, transitions: dict, trans_rows: int, text: str, source: str) -> Dfa | Dfao:
+    """The machine of ``cls`` on ``fields`` and the map that the ``trans_rows``
+    rows of ``text`` spell; the text is read again, to name the first line at
+    fault, only when a pair repeats or construction fails."""
+    if len(transitions) < trans_rows:
+        _check_rows(text, fields, source)
     try:
         return cls(transitions=transitions, **fields)
     except InvalidAutomatonError as exc:
-        _check_rows(trans_rows, fields, source)
+        _check_rows(text, fields, source)
         raise FormatError(str(exc), source) from exc
 
 
-def _check_rows(trans_rows, fields: dict, source: str):
-    """Raise at the first ``trans`` row that names an undeclared id or repeats a pair."""
+def _check_rows(text: str, fields: dict, source: str):
+    """Raise at the first ``trans`` row of ``text`` that names an undeclared id or repeats a pair."""
     declared, letters, seen = set(fields["states"]), set(fields["alphabet"]), set()
-    for lineno, (_, state, letter, target) in trans_rows:
+    rows = ((lineno, tokens) for lineno, tokens in _rows(text) if tokens[0] == "trans")
+    for lineno, (_, state, letter, target) in rows:
         for name in (state, target):
             if name not in declared:
                 raise FormatError(f"undeclared state {name!r}", source, lineno)

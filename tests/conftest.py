@@ -9,6 +9,7 @@ tested one clause at a time."""
 
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -285,16 +286,21 @@ def reference_tag_problems(system):
     return problems
 
 
-def reference_automaton(cls, fields, trans_rows, source):
+def reference_automaton(cls, fields, _transitions, _trans_rows, text, source):
     """Reference for building a machine of ``cls`` from a file's other
-    ``fields`` and its ``trans`` rows, given as ``(line number, ["trans",
-    source, letter, target])``: each row read in file order, raising at the
-    first one that names an undeclared state or letter or repeats a (state,
+    ``fields`` and the ``trans`` rows of its ``text``, which it splits into
+    lines and tokens itself (the map and the row count that ``parse``
+    gathered go unused): each row read in file order, raising at the first
+    one that names an undeclared state or letter or repeats a (state,
     letter) pair, and only then the constructor, whose problems name the
     file but no line."""
     declared, letters = set(fields["states"]), set(fields["alphabet"])
     transitions = {}
-    for lineno, (_, state, letter, target) in trans_rows:
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), 1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens[:1] != ["trans"]:
+            continue
+        _, state, letter, target = tokens
         for name in (state, target):
             if name not in declared:
                 raise FormatError(f"undeclared state {name!r}", source, lineno)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,15 +11,18 @@ from autoseq import (
     InvalidTagSystemError,
     TagSystem,
     accepts,
+    compile_dfa,
     dfao_equivalent,
     dump,
     equivalent,
+    from_dfao,
     load,
     parse,
     save,
+    split_dfa,
     to_dot,
 )
-from conftest import MACHINES, random_dfa, random_dfao
+from conftest import MACHINES, mod_counter, random_dfa, random_dfao
 
 
 def test_load_all_checked_in_machines():
@@ -320,6 +324,53 @@ def test_parse_reports_the_first_fault_word_for_word(text, message):
     with pytest.raises(FormatError) as err:
         parse(text, source=message.partition(":")[0])
     assert str(err.value) == message
+
+
+def parse_traced(text: str):
+    """What ``parse(text, "f.aut")`` returns or raises, with the bytes still
+    allocated after it and the peak while it ran, both under tracemalloc."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse(text, "f.aut")
+        except FormatError as exc:
+            result = exc
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_parse_peaks_below_twice_what_it_keeps():
+    # Rows are read one at a time: no list of every line's tokens, and no
+    # second copy of the trans rows, is held beside the record being built.
+    compiled = compile_dfa(mod_counter(48))
+    for machine in (compiled, split_dfa(mod_counter(48))[0], from_dfao(compiled)):
+        result, kept, peak = parse_traced(dump(machine))
+        assert result == machine
+        assert peak < 2 * kept
+
+
+def test_parse_stops_at_a_bad_line_before_reading_the_rest():
+    text = "type dfa\nbogus x\n" + "trans s a s\n" * 200_000
+    result, _, peak = parse_traced(text)
+    assert str(result) == "f.aut:2: unknown directive 'bogus'"
+    assert peak < 10 * len(text)
+
+
+def test_faults_at_the_end_of_a_large_file_name_their_line():
+    # The text is read again to name these lines; the compiled mod-48
+    # counter's dump has 4615 lines, the last one its last trans row.
+    lines = dump(compile_dfa(mod_counter(48))).splitlines()
+    assert len(lines) == 4615 and lines[2].startswith("states ")
+    for faulty, message in (
+        (lines + lines[-1:], "f.aut:4616: duplicate transition for ('q2304', '1')"),
+        (lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " nowhere"], "f.aut:4615: undeclared state 'nowhere'"),
+        (lines + lines[2:3], "f.aut:4616: duplicate 'states' directive (first on line 3)"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse("\n".join(faulty) + "\n", source="f.aut")
+        assert str(err.value) == message
 
 
 def test_load_missing_file_raises_oserror(tmp_path):
