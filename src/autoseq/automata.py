@@ -18,11 +18,11 @@ letters, ``succ[i * k + j]`` is the successor of node i under letter j.
 One breadth-first walk turns an implicit graph (the pair products of the
 boolean operations, the compiler and glue) into a table, stepping once per
 node and letter; a machine already built reads its table off in declared
-state order.  A machine is made from a table once, naming node i ``qi``.
-Minimization runs Hopcroft's partition refinement (Hopcroft 1971; Valmari
-& Lehtinen 2008) on a table in O(k n log n) for n nodes, then numbers the
-classes breadth-first from the initial one, so the result depends neither
-on how the refinement numbered them nor on the declared order of states.
+state order.  A table becomes a machine in two ways: ``_machine`` names
+node i ``qi`` in walk order, and ``_quotient`` names the minimal machine's
+classes, which Hopcroft's refinement (Hopcroft 1971; Valmari & Lehtinen
+2008) finds in O(k n log n) for n nodes, breadth-first from the initial
+one, so they depend neither on the refinement nor on declared state order.
 Searches run the same walk and stop at the first node they look for; its
 shortlex-least word is read off the table filled so far, which gives
 shortest accepted words and shortest counterexamples.  Equivalence checks
@@ -296,12 +296,6 @@ def _words(succ: list[int], alphabet, nodes) -> list[str]:
     return words
 
 
-def reachable_states(machine: Machine) -> list[str]:
-    """States reachable from the initial state, in breadth-first order."""
-    delta = machine.transitions
-    return list(_walk(machine.initial, machine.alphabet, lambda s, a: delta[s, a], []))
-
-
 def _observer(machine: Machine) -> Callable[[str], Hashable]:
     """What a state shows the outside: acceptance for a :class:`Dfa`, the
     output letter for a :class:`Dfao`.  Two states are told apart exactly
@@ -327,15 +321,6 @@ def _machine(kind: type, alphabet, succ: list[int], observed: list) -> Machine:
     if kind is Dfa:
         return Dfa(alphabet, states, states[0], frozenset(compress(states, observed)), transitions)
     return Dfao(alphabet, states, states[0], transitions, dict(zip(states, observed)))
-
-
-def _build(kind: type, start: Hashable, alphabet, step, observe: Callable) -> tuple[Machine, list]:
-    """Machine of ``kind`` on the nodes reachable from ``start`` under
-    ``step``, and those nodes in :func:`_graph` order.  States are named
-    ``q0, q1, ...`` in that order, which makes every construction built on
-    this helper deterministic.  Each state observes ``observe(node)``."""
-    order, succ = _graph(start, alphabet, step)
-    return _machine(kind, alphabet, succ, list(map(observe, order))), order
 
 
 def _refine(succ: list[int], k: int, observed: list) -> list[int]:
@@ -522,7 +507,8 @@ def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool
     """DFA on the reachable state pairs, accepting where ``keep`` holds for
     the observations of the two machines."""
     o1, o2 = _observer(m1), _observer(m2)
-    return _build(Dfa, *_pairs(m1, m2), lambda pair: keep(o1(pair[0]), o2(pair[1])))[0]
+    order, succ = _graph(*_pairs(m1, m2))
+    return _machine(Dfa, m1.alphabet, succ, [keep(o1(s1), o2(s2)) for s1, s2 in order])
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:

@@ -21,17 +21,20 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _build, _graph, _minimize, _quotient, _words
+from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _minimize, _quotient, _words
 from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
 
+_BINARY = ("0", "1")
+
 
 def _pair_graph(dfa: Dfa):
-    """Start node, digits, step and output of the compiler's pair graph,
-    whose start node (s(0), s(-1)) holds the virtual s(-1) as ``None``:
+    """The compiler's pair graph, walked by :func:`_graph` from its start
+    node (s(0), s(-1)), which holds the virtual s(-1) as ``None``:
     word(-1)·a = word(-1) and word(-1)·b = word(0), so a keeps it in place
-    and b leads to the initial state."""
+    and b leads to the initial state.  Returns the nodes in walk order, the
+    successor-index table over the digits and each node's output letter."""
     if tuple(dfa.alphabet) != ("a", "b"):
         raise _AlphabetError(dfa, "the compiler expects the alphabet 'a b' in that order")
     first, second = dfa.alphabet
@@ -43,20 +46,20 @@ def _pair_graph(dfa: Dfa):
             return (delta[on_n, first], delta[on_prev, second])
         return (delta[on_prev, second], delta[on_prev, first])
 
-    def label(raw):
-        return "1" if raw[0] in dfa.accepting else "0"
-
-    return (dfa.initial, None), ("0", "1"), step, label
+    order, succ = _graph((dfa.initial, None), _BINARY, step)
+    return order, succ, ["1" if on_n in dfa.accepting else "0" for on_n, _ in order]
 
 
 def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
     """Unminimized compilation, keeping the bookkeeping visible.
 
     Returns the compiled machine plus a map from each of its state names to
-    the tracked pair (state on word(n), state on word(n-1)), or None for
-    the leading-zeros state.  At most |Q|**2 + 1 states are created.
+    the tracked pair (state on word(n), state on word(n-1)).  At most
+    |Q|**2 + 1 states are created.  The leading-zeros state's node is the
+    ordinary pair (s(0), None); the map still gives it None, for compatibility.
     """
-    compiled, order = _build(Dfao, *_pair_graph(dfa))
+    order, succ, outputs = _pair_graph(dfa)
+    compiled = _machine(Dfao, _BINARY, succ, outputs)
     return compiled, dict(zip(compiled.states, [None, *order[1:]]))
 
 
@@ -70,7 +73,7 @@ def canonical_recognizer() -> Dfa:
     """DFA over the digits 0, 1 accepting exactly the canonical numerals:
     the empty word and every word starting with 1."""
     return Dfa(
-        alphabet=("0", "1"),
+        alphabet=_BINARY,
         states=("start", "one", "junk"),
         initial="start",
         accepting=frozenset({"start", "one"}),
@@ -94,12 +97,10 @@ def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
     node n, so only canonical numerals reach the pairs.  It is the product
     with :func:`canonical_recognizer`, its dead pairs merged.
     """
-    start, digits, step, label = _pair_graph(dfa)
-    order, succ = _graph(start, digits, step)
+    order, succ, outputs = _pair_graph(dfa)
     n = len(order)
     succ = [n, *succ[1:], n, n]
-    shown = [*map(label, order), None]
-    return tuple(_quotient(Dfa, digits, succ, 0, [seen == letter for seen in shown]) for letter in "10")
+    return tuple(_quotient(Dfa, _BINARY, succ, 0, [*map(letter.__eq__, outputs), False]) for letter in "10")
 
 
 class PartitionError(ValueError):
@@ -134,7 +135,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
     out, and each node outputs which side accepts there.
     """
     for machine in (ones, zeros):
-        if tuple(machine.alphabet) != ("0", "1"):
+        if tuple(machine.alphabet) != _BINARY:
             raise _AlphabetError(machine, "glue expects machines over the digits '0 1'")
 
     machines = (ones, zeros, canonical_recognizer())
@@ -145,7 +146,7 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
         s1, s2, s3 = states
         return (t1[s1, digit], t2[s2, digit], t3[s3, digit])
 
-    order, succ = _graph(tuple(m.initial for m in machines), ("0", "1"), step)
+    order, succ = _graph(tuple(m.initial for m in machines), _BINARY, step)
     found: dict = {}
     observed = []
     for i, (s1, s2, s3) in enumerate(order):
@@ -158,9 +159,9 @@ def glue(ones: Dfa, zeros: Dfa) -> Dfao:
         observed.append("1" if in_ones else "0")
     for reason in PartitionError._DETAILS:
         if reason in found:
-            raise PartitionError(reason, _words(succ, ("0", "1"), [found[reason]])[0])
+            raise PartitionError(reason, _words(succ, _BINARY, [found[reason]])[0])
     succ[0] = 0
-    return _quotient(Dfao, ("0", "1"), succ, 0, observed)
+    return _quotient(Dfao, _BINARY, succ, 0, observed)
 
 
 def first_mismatch(dfa: Dfa, count: int) -> int | None:

@@ -2,10 +2,10 @@
 the mod-N letter counters, output machines with one index flipped, a
 brute-force word enumerator used as the oracle for shortlex indexing, the
 bijective base-2 recurrence as the reference for the closed-form shortlex
-conversions, Moore's refinement as the reference for minimization, and
-item-by-item structural checks as the reference for validation and for
-building a machine from the ``trans`` rows of a file, with the token rule
-tested one clause at a time."""
+conversions, a reachability loop and Moore's refinement as the references
+for minimization, and item-by-item structural checks as the reference for
+validation and for building a machine from the ``trans`` rows of a file,
+with the token rule tested one clause at a time."""
 
 import itertools
 import random
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from autoseq import Dfa, Dfao, FormatError, InvalidAutomatonError, load, to_digits
-from autoseq.automata import _build, _observer, _sorted, reachable_states
+from autoseq.automata import _graph, _machine, _observer, _sorted
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -120,7 +120,22 @@ def flipped_at(machine: Dfao, index: int) -> Dfao:
         letter = machine.outputs[node[0]]
         return {"0": "1", "1": "0"}[letter] if node[1] == len(numeral) else letter
 
-    return _build(Dfao, (machine.initial, 0), machine.alphabet, step, observe)[0]
+    order, succ = _graph((machine.initial, 0), machine.alphabet, step)
+    return _machine(Dfao, machine.alphabet, succ, list(map(observe, order)))
+
+
+def reachable(machine):
+    """States reachable from the initial state, breadth-first with letters
+    in alphabet order, found by a loop of its own."""
+    order = [machine.initial]
+    seen = set(order)
+    for state in order:
+        for letter in machine.alphabet:
+            target = machine.transitions[state, letter]
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return order
 
 
 def _index_by(order, key):
@@ -138,10 +153,11 @@ def moore_minimize(machine):
     """Reference for ``minimize`` and ``minimize_dfao``: Moore's partition
     refinement, which splits by the observation and then re-keys every
     reachable state by its class and its successors' classes until a round
-    splits nothing.  It shares with the library only the reachable states,
-    the observation and the canonical naming of the result."""
+    splits nothing.  It finds the reachable states with its own loop and
+    shares with the library only the observation and the canonical naming
+    of the result, ``_graph`` and ``_machine`` over its classes."""
     observe = _observer(machine)
-    order = reachable_states(machine)
+    order = reachable(machine)
     alphabet = machine.alphabet
     delta = machine.transitions
     classes = _index_by(order, observe)
@@ -160,7 +176,8 @@ def moore_minimize(machine):
     def step(cls, letter):
         return classes[delta[reps[cls], letter]]
 
-    return _build(type(machine), classes[machine.initial], alphabet, step, lambda cls: observe(reps[cls]))[0]
+    walked, succ = _graph(classes[machine.initial], alphabet, step)
+    return _machine(type(machine), alphabet, succ, [observe(reps[cls]) for cls in walked])
 
 
 def reference_token_problem(kind, value):

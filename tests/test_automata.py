@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,8 @@ from autoseq import (
     InvalidAutomatonError,
     InvalidTagSystemError,
     accepts,
+    compile_dfa,
+    compile_dfa_with_pairs,
     complement,
     counterexample,
     dfao_counterexample,
@@ -27,8 +30,8 @@ from autoseq import (
     union,
     validate,
 )
-from autoseq.automata import reachable_states
-from conftest import moore_minimize, random_dfa, random_dfao, words_in_order
+from autoseq import automata
+from conftest import mod_counter, moore_minimize, reachable, random_dfa, random_dfao, words_in_order
 
 
 def two_sinks():
@@ -176,7 +179,7 @@ def test_minimize_random_machines_stay_equivalent_and_minimal():
         dfa = random_dfa(rng)
         small = minimize(dfa)
         assert equivalent(dfa, small)
-        assert len(small.states) <= len(reachable_states(dfa))
+        assert len(small.states) <= len(reachable(dfa))
         assert minimize(small) == small
         # pairwise inequivalent states, distinguished by short words
         for i, s in enumerate(small.states):
@@ -207,7 +210,7 @@ def test_minimize_dfao_random_machines():
         dfao = random_dfao(rng)
         small = minimize_dfao(dfao)
         assert dfao_equivalent(dfao, small)
-        assert len(small.states) <= len(reachable_states(dfao))
+        assert len(small.states) <= len(reachable(dfao))
 
 
 def test_minimization_matches_the_moore_reference_on_larger_machines():
@@ -267,6 +270,90 @@ def test_boolean_operations_against_word_membership():
             assert accepts(only_first, word) == (in1 and not in2)
 
 
+def walked_machine(kind, start, alphabet, step, observe):
+    """Reference for the constructions that name a walk: the machine of
+    ``kind`` on the nodes reachable from ``start``, found by a breadth-first
+    loop of its own with letters in alphabet order and named q0, q1, ... in
+    the order they are discovered, and the map from each node to its name."""
+    names = {start: "q0"}
+    queue = deque([start])
+    transitions = {}
+    while queue:
+        node = queue.popleft()
+        for letter in alphabet:
+            target = step(node, letter)
+            if target not in names:
+                names[target] = f"q{len(names)}"
+                queue.append(target)
+            transitions[names[node], letter] = names[target]
+    states = tuple(names.values())
+    if kind is Dfa:
+        accepting = frozenset(name for node, name in names.items() if observe(node))
+        return Dfa(alphabet, states, "q0", accepting, transitions), names
+    return Dfao(alphabet, states, "q0", transitions, {name: observe(node) for node, name in names.items()}), names
+
+
+def reference_pair_step(dfa):
+    """The compiler's step on the pairs (s(n), s(n-1)), read off the shortlex
+    recurrence word(2n+1) = word(n)·a and word(2n+2) = word(n)·b: the digit 1
+    leads from n to 2n+1, whose predecessor 2n spells word(n-1)·b, and the
+    digit 0 leads to 2n, whose predecessor 2n-1 spells word(n-1)·a.  The
+    state on word(-1) is None: word(-1)·a = word(-1), word(-1)·b = word(0)."""
+
+    def extend(state, letter):
+        if state is None:
+            return None if letter == "a" else dfa.initial
+        return dfa.transitions[state, letter]
+
+    def step(pair, digit):
+        on_n, on_prev = pair
+        if digit == "1":
+            return extend(on_n, "a"), extend(on_prev, "b")
+        return extend(on_prev, "b"), extend(on_prev, "a")
+
+    return step
+
+
+def seeded_pairs():
+    rng = random.Random(505)
+    return [(random_dfa(rng), random_dfa(rng)) for _ in range(50)]
+
+
+def test_products_are_named_by_a_breadth_first_walk():
+    keeps = {intersection: lambda x, y: x and y, union: lambda x, y: x or y, difference: lambda x, y: x and not y}
+    for d1, d2 in seeded_pairs():
+        start = (d1.initial, d2.initial)
+
+        def step(pair, letter):
+            return d1.transitions[pair[0], letter], d2.transitions[pair[1], letter]
+
+        for operation, keep in keeps.items():
+            def observe(pair):
+                return keep(pair[0] in d1.accepting, pair[1] in d2.accepting)
+
+            assert operation(d1, d2) == walked_machine(Dfa, start, d1.alphabet, step, observe)[0]
+
+
+def test_raw_compile_is_named_by_a_breadth_first_walk():
+    recognizers = [dfa for pair in seeded_pairs() for dfa in pair]
+    for dfa in [*recognizers, mod_counter(8)]:
+        def observe(pair):
+            return "1" if pair[0] in dfa.accepting else "0"
+
+        want, names = walked_machine(Dfao, (dfa.initial, None), ("0", "1"), reference_pair_step(dfa), observe)
+        compiled, pairs = compile_dfa_with_pairs(dfa)
+        assert compile_dfa(dfa, minimize=False) == compiled == want
+        assert pairs == {name: None if name == "q0" else pair for pair, name in names.items()}
+    assert len(want.states) == 8**2 + 1
+
+
+def test_products_require_matching_alphabets(no_bb, no_bb_ones):
+    for operation in (intersection, union, difference):
+        with pytest.raises(ValueError) as caught:
+            operation(no_bb, no_bb_ones)
+        assert str(caught.value) == "alphabet mismatch: 'a b' vs '0 1'"
+
+
 def test_shortest_accepted(no_bb):
     assert shortest_accepted(no_bb) == ""
     nothing = replace(no_bb, accepting=frozenset())
@@ -305,7 +392,8 @@ def test_shortest_words_match_a_brute_force_scan():
             first = {}
             for word in words_in_order(machine.alphabet, 2**9 - 1):
                 first.setdefault(run(machine, word), word)
-            assert reachable_states(machine) == list(first)
+            delta = machine.transitions
+            assert automata._graph(machine.initial, machine.alphabet, lambda s, a: delta[s, a])[0] == list(first)
         small = minimize(d1)
         for witness, state in residuals(d1):
             assert witness == first_in_shortlex(small.alphabet, lambda w: run(small, w) == state)
