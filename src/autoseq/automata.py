@@ -11,7 +11,9 @@ is read item by item, which words its problems one by one in a fixed order.
 A Dfa is a Dfao whose output is "accepting or not": both are one record
 but for that field.  The algorithms see a state only through its
 observation (acceptance for a Dfa, the output letter for a Dfao), so each
-exists once for both kinds.
+exists once for both kinds, and so do the public names: ``minimize_dfao``,
+``dfao_counterexample`` and ``dfao_equivalent`` are ``minimize``,
+``counterexample`` and ``equivalent`` under a second name.
 
 Constructions share one representation, the successor-index table: with k
 letters, ``succ[i * k + j]`` is the successor of node i under letter j.
@@ -430,29 +432,22 @@ def _table(machine: Machine) -> list[int]:
     return list(map(index.__getitem__, map(machine.transitions.__getitem__, edges)))
 
 
-def _minimize(machine: Machine) -> Machine:
-    """The minimal machine for what ``machine`` observes: the
-    :func:`_quotient` of its whole table, unreachable states included, from
-    the initial state."""
-    observed = list(map(_observer(machine), machine.states))
-    start = machine.states.index(machine.initial)
-    return _quotient(type(machine), machine.alphabet, _table(machine), start, observed)
+def minimize(dfa: Machine) -> Machine:
+    """Equivalent machine with no unreachable and no equivalent states: the
+    :func:`_quotient` of its whole table from the initial state.  States are
+    told apart by what they observe, acceptance for a :class:`Dfa` and the
+    output letter for a :class:`Dfao`; ``minimize_dfao`` is this function.
 
-
-def minimize(dfa: Dfa) -> Dfa:
-    """Language-equivalent DFA with no unreachable and no equivalent states.
-
-    The result is canonical for the language up to naming, and the names
-    themselves are fixed by breadth-first discovery order, so equal inputs
-    always produce byte-identical results.
+    The result is canonical for what the machine observes up to naming, and
+    the names themselves are fixed by breadth-first discovery order, so equal
+    inputs always produce byte-identical results.
     """
-    return _minimize(dfa)
+    observed = list(map(_observer(dfa), dfa.states))
+    start = dfa.states.index(dfa.initial)
+    return _quotient(type(dfa), dfa.alphabet, _table(dfa), start, observed)
 
 
-def minimize_dfao(dfao: Dfao) -> Dfao:
-    """Like :func:`minimize`, but states are split by output letter instead
-    of acceptance."""
-    return _minimize(dfao)
+minimize_dfao = minimize
 
 
 def _shortest(start: Hashable, alphabet, step, hit: Callable) -> str | None:
@@ -475,32 +470,26 @@ def _pairs(m1: Machine, m2: Machine):
     return (m1.initial, m2.initial), m1.alphabet, lambda pair, a: (t1[pair[0], a], t2[pair[1], a])
 
 
-def _distinguish(m1: Machine, m2: Machine) -> str | None:
-    """Shortest word after which the two machines observe differently."""
-    o1, o2 = _observer(m1), _observer(m2)
-    return _shortest(*_pairs(m1, m2), lambda pair: o1(pair[0]) != o2(pair[1]))
-
-
-def counterexample(d1: Dfa, d2: Dfa) -> str | None:
-    """Shortest word accepted by exactly one of the two DFAs, or None.
+def counterexample(d1: Machine, d2: Machine) -> str | None:
+    """Shortest word after which the two machines observe differently, or
+    None: accepted by exactly one of two DFAs, or mapped to different output
+    letters by two DFAOs.  ``dfao_counterexample`` is this function.
 
     Breadth-first search of the product automaton, so the answer is exact;
     no sampling is involved.
     """
-    return _distinguish(d1, d2)
+    o1, o2 = _observer(d1), _observer(d2)
+    return _shortest(*_pairs(d1, d2), lambda pair: o1(pair[0]) != o2(pair[1]))
 
 
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
+def equivalent(d1: Machine, d2: Machine) -> bool:
+    """Whether the two machines observe the same on every word; exact, as
+    :func:`counterexample`.  ``dfao_equivalent`` is this function."""
     return counterexample(d1, d2) is None
 
 
-def dfao_counterexample(d1: Dfao, d2: Dfao) -> str | None:
-    """Shortest word on which the two output machines disagree, or None."""
-    return _distinguish(d1, d2)
-
-
-def dfao_equivalent(d1: Dfao, d2: Dfao) -> bool:
-    return dfao_counterexample(d1, d2) is None
+dfao_counterexample = counterexample
+dfao_equivalent = equivalent
 
 
 def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool]) -> Dfa:

@@ -31,7 +31,7 @@ from functools import cache, partial
 from pathlib import Path
 
 from . import charseq, compiler, formats, numeration, tagsystem
-from .automata import Dfa, Dfao, _MachineError, minimize, minimize_dfao
+from .automata import Dfa, Dfao, _MachineError, minimize
 from .tagsystem import TagSystem
 
 
@@ -198,7 +198,7 @@ _COMMANDS = [
      (_arg("ones", help="dfa file for the 1-positions"), _arg("zeros", help="dfa file for the 0-positions"),
       *_OUTPUT), cmd_glue),
     ("minimize", "minimize a dfa or dfao", (Dfa, Dfao), _OUTPUT,
-     partial(_text, lambda m, args: formats.dump(minimize(m) if isinstance(m, Dfa) else minimize_dfao(m)))),
+     partial(_text, lambda m, args: formats.dump(minimize(m)))),
     ("residuals", "distinct residual languages with shortest witnesses", (Dfa,), (), cmd_residuals),
     ("dot", "Graphviz rendering of a dfa or dfao", (Dfa, Dfao), _OUTPUT,
      partial(_text, lambda machine, args: formats.to_dot(machine))),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _minimize, _quotient, _words
+from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _quotient, _words, minimize as _minimal
 from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
@@ -66,7 +66,7 @@ def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
     """Base-2 output machine computing the characteristic sequence of L(dfa)."""
     compiled, _ = compile_dfa_with_pairs(dfa)
-    return _minimize(compiled) if minimize else compiled
+    return _minimal(compiled) if minimize else compiled
 
 
 def canonical_recognizer() -> Dfa:

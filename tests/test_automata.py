@@ -247,6 +247,24 @@ def test_dfao_counterexample(thue_morse, no_bb_fao):
     assert dfao_counterexample(thue_morse, no_bb_fao) == ""  # outputs 0 vs 1 on the empty word
 
 
+def test_each_twin_answers_alike_on_either_kind():
+    # Recognizers and their raw compiles, handed to both names of each
+    # operation; the pairs include equal machines, so both answers occur.
+    rng = random.Random(2727)
+    dfas = [random_dfa(rng, max_states=8) for _ in range(40)]
+    for kind in (dfas, [compile_dfa(dfa, minimize=False) for dfa in dfas]):
+        for machine in kind:
+            assert minimize(machine) == minimize_dfao(machine)
+        pairs = [*zip(kind, kind[1:]), *((m, minimize(m)) for m in kind)]
+        answers = set()
+        for m1, m2 in pairs:
+            word = counterexample(m1, m2)
+            assert dfao_counterexample(m1, m2) == word
+            assert equivalent(m1, m2) == dfao_equivalent(m1, m2) == (word is None)
+            answers.add(word is None)
+        assert answers == {True, False}
+
+
 def test_boolean_operations(no_bb):
     assert is_empty(difference(no_bb, no_bb))
     assert is_empty(intersection(no_bb, complement(no_bb)))
