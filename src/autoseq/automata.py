@@ -22,9 +22,12 @@ boolean operations, the compiler and glue) into a table, stepping once per
 node and letter; a machine already built reads its table off in declared
 state order.  A table becomes a machine in two ways: ``_machine`` names
 node i ``qi`` in walk order, and ``_quotient`` names the minimal machine's
-classes, which Hopcroft's refinement (Hopcroft 1971; Valmari & Lehtinen
-2008) finds in O(k n log n) for n nodes, breadth-first from the initial
+classes.  It is ``_refine``, Hopcroft's refinement (Hopcroft 1971; Valmari
+& Lehtinen 2008), which finds them in O(k n log n) for n nodes, followed
+by ``_name_classes``, which numbers them breadth-first from the initial
 one, so they depend neither on the refinement nor on declared state order.
+The naming step takes any stable partition, which lets ``split`` name two
+partitions, one per recognizer, from one refinement.
 Searches run the same walk and stop at the first node they look for; its
 shortlex-least word is read off the table filled so far, which gives
 shortest accepted words and shortest counterexamples.  Equivalence checks
@@ -403,16 +406,16 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
     return block
 
 
-def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list) -> Machine:
-    """Minimal machine of ``kind`` for the successor-index table ``succ``
-    over ``alphabet`` from node ``start``, where node ``i`` observes
-    ``observed[i]``.  :func:`_refine` finds the classes, which are then
-    numbered breadth-first from the class of ``start`` on the table itself,
-    dropping those it does not reach, so the result depends only on what
-    the graph observes.  The first node met in a class stands for it, as
-    all members agree on successors and observation."""
+def _name_classes(kind: type, alphabet, succ: list[int], start: int, observed: list, block: list[int]) -> Machine:
+    """Machine of ``kind`` on the classes ``block`` of the successor-index
+    table ``succ`` over ``alphabet`` from node ``start``, where node ``i`` is
+    in class ``block[i]`` and observes ``observed[i]``.  The classes must be
+    stable: all members of one agree on observation and on the classes of
+    their successors.  They are numbered breadth-first from the class of
+    ``start`` on the table itself, dropping those it does not reach, so the
+    result depends only on the partition, not on how its classes are
+    numbered.  The first node met in a class stands for it."""
     k = len(alphabet)
-    block = _refine(succ, k, observed)
     number = {block[start]: 0}
     members = [start]
     table = []
@@ -423,6 +426,15 @@ def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list)
                 members.append(target)
             table.append(c)
     return _machine(kind, alphabet, table, [observed[i] for i in members])
+
+
+def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list) -> Machine:
+    """Minimal machine of ``kind`` for the successor-index table ``succ``
+    over ``alphabet`` from node ``start``, where node ``i`` observes
+    ``observed[i]``: the classes that :func:`_refine` finds, named by
+    :func:`_name_classes`, so the result depends only on what the graph
+    observes."""
+    return _name_classes(kind, alphabet, succ, start, observed, _refine(succ, len(alphabet), observed))
 
 
 def _table(machine: Machine) -> list[int]:

@@ -13,7 +13,11 @@ enters the initial state on b, and the start pair loops on the digit 0.
 
 The module also goes the other way around: ``split_dfa`` cuts that loop to
 separate the numerals of the 1-positions from those of the 0-positions,
-and ``glue`` closes it to reassemble an output machine from the two.
+and ``glue`` closes it to reassemble an output machine from the two.  Cut,
+the loop leaves the start node and an added dead node outside a closed
+subgraph where every node outputs 0 or 1, so there a node's 1-residual is
+the complement of its 0-residual: one refinement of the pair graph gives
+both recognizers, once those two nodes are placed for each.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 from itertools import compress, count as indices
 from operator import ne
 
-from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _quotient, _words, minimize as _minimal
+from . import automata
+from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _name_classes, _quotient, _words, minimize as _minimal
 from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
@@ -94,13 +99,46 @@ def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
 
     Both are quotients of the compiler's pair graph with the loop that
     :func:`glue` closes cut: the start node's digit 0 leads to an added dead
-    node n, so only canonical numerals reach the pairs.  It is the product
-    with :func:`canonical_recognizer`, its dead pairs merged.
+    node, so only canonical numerals reach the pairs.  Each is the product
+    with :func:`canonical_recognizer`, minimized.
+
+    One refinement, with the observations output 0, output 1 and dead,
+    serves both, because only the start and the dead node can differ
+    between the two quotients:
+
+    - s(-1) never recurs, so the start node is reached only by its own
+      digit-0 loop, which the cut redirects to the dead node;
+    - the other nodes therefore form a closed subgraph, and each of them
+      outputs 0 or 1, so there a node's 1-residual is the complement of its
+      0-residual, and both quotients equal the refinement on those nodes;
+    - placing the start or the dead node changes no successor class of the
+      other nodes, so no other merge follows.
+
+    For letter l, the dead node joins sink(l), the class that loops to
+    itself on both digits and outputs the other letter, if there is one.
+    The start node then joins the class, if any, that outputs l exactly
+    when it does, whose digit 0 leads into sink(l) and whose digit 1 leads
+    into the class of the start node's digit-1 successor.  No two classes
+    of the refinement are equivalent, so each is found at most once.
     """
     order, succ, outputs = _pair_graph(dfa)
     n = len(order)
     succ = [n, *succ[1:], n, n]
-    return tuple(_quotient(Dfa, _BINARY, succ, 0, [*map(letter.__eq__, outputs), False]) for letter in "10")
+    # Called through its module, so that a patched _refine sees the call.
+    block = automata._refine(succ, 2, [*outputs, None])
+    on = block.__getitem__
+    # Each class by its output and its successors' classes, which no two
+    # share; the dead node, which has no output, is left out.
+    class_of = {(out, c0, c1): c for out, c, c0, c1 in zip(outputs, block, map(on, succ[0::2]), map(on, succ[1::2]))}
+    sinks = {out: c for (out, c0, c1), c in class_of.items() if c0 == c1 == c}
+    machines = []
+    for letter, other in ("10", "01"):
+        placed = block
+        if other in sinks:
+            sink = sinks[other]
+            placed = [class_of.get((outputs[0], sink, block[succ[1]]), block[0]), *block[1:n], sink]
+        machines.append(_name_classes(Dfa, _BINARY, succ, 0, [*map(letter.__eq__, outputs), False], placed))
+    return tuple(machines)
 
 
 class PartitionError(ValueError):

@@ -225,10 +225,10 @@ def test_split_refines_the_pair_graph_and_a_dead_node(monkeypatch):
     sizes = []
     monkeypatch.setattr(automata, "_refine", lambda succ, k, seen: sizes.append(len(seen)) or refine(succ, k, seen))
     split_dfa(mod_counter(48))
-    # One refinement per output letter, of the 48**2 + 1 raw nodes and the
-    # dead node that the leading-zeros node's digit 0 leads to; nothing is
+    # One refinement of the 48**2 + 1 raw nodes and the dead node that the
+    # leading-zeros node's digit 0 leads to serves both letters; nothing is
     # compiled or minimized first.
-    assert sizes == [2305 + 1, 2305 + 1]
+    assert sizes == [2305 + 1]
 
 
 def test_constructions_validate_only_what_they_return(monkeypatch):

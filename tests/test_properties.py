@@ -15,7 +15,7 @@ from itertools import count
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from autoseq import (
@@ -47,6 +47,7 @@ from autoseq.charseq import _bits_line
 from autoseq.tagsystem import _render, _unfold
 from conftest import (
     flipped_at,
+    mod_counter,
     moore_minimize,
     reference_automaton,
     reference_shortlex_index,
@@ -407,8 +408,24 @@ def test_glue_undoes_split(dfa):
     assert glued == compile_dfa(dfa)
 
 
+def recognizer(accepting: str, **rows: str) -> Dfa:
+    """Recognizer over a, b from its first state, where ``rows`` gives each
+    state's targets on a and on b."""
+    transitions = {(state, letter): target for state, targets in rows.items() for letter, target in zip("ab", targets)}
+    return Dfa(("a", "b"), tuple(rows), next(iter(rows)), frozenset(accepting), transitions)
+
+
 @PROPERTY
 @given(automata(Dfa, st.just(("a", "b"))))
+# One example per way split_dfa places the dead and the start node of its
+# one refinement: what the ones and the zeros machine each place.
+@example(recognizer("", p="pp"))  # no word: ones places both
+@example(recognizer("p", p="pd", d="dd"))  # a*: ones places both
+@example(recognizer("p", p="dd", d="dd"))  # the empty word: ones places the dead node
+@example(recognizer("q", p="qq", q="qq"))  # every nonempty word: zeros places the dead node
+@example(recognizer("p", p="pp"))  # every word: zeros places both
+@example(recognizer("q", p="qd", q="qq", d="dd"))  # words that start with a: each places the dead node
+@example(mod_counter(5))  # neither places a node
 def test_constructions_equal_their_definitions(dfa):
     """The compiled and split machines equal their definitions: the raw
     machine, or its product with the canonical numerals, built and then
