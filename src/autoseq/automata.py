@@ -14,6 +14,8 @@ observation (acceptance for a Dfa, the output letter for a Dfao), so each
 exists once for both kinds, and so do the public names: ``minimize_dfao``,
 ``dfao_counterexample`` and ``dfao_equivalent`` are ``minimize``,
 ``counterexample`` and ``equivalent`` under a second name.
+The boolean operations, ``complement``, ``shortest_accepted`` and
+``is_empty`` read acceptance, so they take recognizers only.
 
 Constructions share one representation, the successor-index table: with k
 letters, ``succ[i * k + j]`` is the successor of node i under letter j.
@@ -504,35 +506,47 @@ dfao_counterexample = counterexample
 dfao_equivalent = equivalent
 
 
-def _product(m1: Machine, m2: Machine, keep: Callable[[Hashable, Hashable], bool]) -> Dfa:
-    """DFA on the reachable state pairs, accepting where ``keep`` holds for
-    the observations of the two machines."""
+def _need_recognizers(operation: str, *machines) -> None:
+    """Raise unless every one of ``machines`` is a :class:`Dfa`, since
+    ``operation`` reads acceptance."""
+    for machine in machines:
+        if not isinstance(machine, Dfa):
+            raise _MachineError(machine, f"{operation} needs a recognizer (type dfa)")
+
+
+def _product(operation: str, m1: Dfa, m2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
+    """DFA on the reachable state pairs of two recognizers, accepting where
+    ``keep`` holds for their acceptance."""
+    _need_recognizers(operation, m1, m2)
     o1, o2 = _observer(m1), _observer(m2)
     order, succ = _graph(*_pairs(m1, m2))
     return _machine(Dfa, m1.alphabet, succ, [keep(o1(s1), o2(s2)) for s1, s2 in order])
 
 
 def intersection(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda x, y: x and y)
+    return _product("intersection", d1, d2, lambda x, y: x and y)
 
 
 def union(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda x, y: x or y)
+    return _product("union", d1, d2, lambda x, y: x or y)
 
 
 def difference(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda x, y: x and not y)
+    return _product("difference", d1, d2, lambda x, y: x and not y)
 
 
 def complement(dfa: Dfa) -> Dfa:
+    _need_recognizers("complement", dfa)
     return replace(dfa, accepting=frozenset(dfa.states) - dfa.accepting)
 
 
 def shortest_accepted(dfa: Dfa) -> str | None:
     """Shortest accepted word, or None for the empty language."""
+    _need_recognizers("shortest_accepted", dfa)
     delta = dfa.transitions
     return _shortest(dfa.initial, dfa.alphabet, lambda s, a: delta[s, a], _observer(dfa))
 
 
 def is_empty(dfa: Dfa) -> bool:
+    _need_recognizers("is_empty", dfa)
     return shortest_accepted(dfa) is None

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import NamedTuple
 
-from .automata import Dfa, Dfao, _AlphabetError, _table, _words, accepts, minimize
+from .automata import Dfa, Dfao, _AlphabetError, _need_recognizers, _table, _words, accepts, minimize
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _unfold
 
@@ -41,6 +41,7 @@ def char_seq(dfa: Dfa, count: int) -> list[int]:
     numbered, and ``product`` spells each word as a tuple of the letters'
     successor lists, so a transition is one list lookup.
     """
+    _need_recognizers("char_seq", dfa)
     if len(dfa.alphabet) != 2:
         raise _AlphabetError(dfa, "characteristic sequences need a two-letter alphabet")
     _check_natural("count", count)

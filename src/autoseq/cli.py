@@ -3,8 +3,14 @@
 Every leaf command is declared once, in ``_COMMANDS``: its path, help text,
 the machine kinds it loads, its extra arguments and its handler.  Most
 commands share one of three handlers (print a sequence, write a text to
-``-o`` or stdout, print a conversion).  The parser is built from that table
-on the first call of :func:`main` and reused for the rest of the process.
+``-o`` or stdout, print a conversion).  Two kinds of parser are built from
+that table, each on first need and kept for the process.  When the first
+one or two words of argv name a leaf command, that leaf's own parser parses
+the rest.  Every other argv, and one whose leaf parse leaves arguments over,
+goes through the full tree of root, group and leaf parsers.  One helper
+declares a leaf's arguments on its own parser and on the tree's subparser,
+so help, usage, errors and exit codes are the tree's either way; arguments
+left over are reported with the root usage line.
 
 :func:`main` runs each command with the cyclic garbage collector paused and
 restores the state it found, also when the command raises.  A machine of
@@ -228,6 +234,25 @@ _COMMANDS = [
 ]
 
 
+def _leaf(parser: argparse.ArgumentParser, kinds, arguments, handler) -> argparse.ArgumentParser:
+    """``parser`` with a leaf command's machine argument, extra arguments
+    and defaults added."""
+    if kinds:
+        parser.add_argument("machine", help=_KINDS[kinds][1])
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(kinds=kinds, handler=handler)
+    return parser
+
+
+_LEAVES = {tuple(path.split()): leaf for path, _, *leaf in _COMMANDS}
+
+
+@cache
+def _leaf_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    return _leaf(argparse.ArgumentParser(prog=f"autoseq {' '.join(path)}"), *_LEAVES[path])
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -236,25 +261,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "alphabet, their base-2 output machines, and the matching tag systems.",
     )
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, summary, kinds, arguments, handler in _COMMANDS:
+    for path, summary, *leaf in _COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in subparsers:
             sub = subparsers[""].add_parser(group, help=_GROUPS[group])
             subparsers[group] = sub.add_subparsers(dest=f"{group}_command", required=True)
-        p = subparsers[group].add_parser(name, help=summary)
-        if kinds:
-            p.add_argument("machine", help=_KINDS[kinds][1])
-        for names, options in arguments:
-            p.add_argument(*names, **options)
-        p.set_defaults(kinds=kinds, handler=handler)
+        _leaf(subparsers[group].add_parser(name, help=summary), *leaf)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its leaf command's parser when its first words
+    name one and it parses all of the rest, else by the full tree."""
+    for size in (2, 1):
+        path = tuple(argv[:size])
+        if path in _LEAVES:
+            args, rest = _leaf_parser(path).parse_known_args(argv[len(path):])
+            if not rest:
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if not args.kinds:
             return args.handler(args)
         with _load(args.machine, *args.kinds) as machine:

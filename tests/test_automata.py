@@ -372,6 +372,22 @@ def test_products_require_matching_alphabets(no_bb, no_bb_ones):
         assert str(caught.value) == "alphabet mismatch: 'a b' vs '0 1'"
 
 
+def test_recognizer_operations_reject_output_machines(no_bb, thue_morse, paperfold):
+    operations = {
+        "intersection": lambda: intersection(thue_morse, paperfold),
+        "union": lambda: union(no_bb, thue_morse),
+        "difference": lambda: difference(thue_morse, no_bb),
+        "complement": lambda: complement(thue_morse),
+        "shortest_accepted": lambda: shortest_accepted(thue_morse),
+        "is_empty": lambda: is_empty(thue_morse),
+    }
+    for name, call in operations.items():
+        with pytest.raises(automata._MachineError) as caught:
+            call()
+        assert str(caught.value) == f"{name} needs a recognizer (type dfa)"
+        assert caught.value.machine is thue_morse
+
+
 def test_shortest_accepted(no_bb):
     assert shortest_accepted(no_bb) == ""
     nothing = replace(no_bb, accepting=frozenset())

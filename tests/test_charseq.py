@@ -55,6 +55,11 @@ def test_char_seq_needs_two_letters():
         char_seq(unary, 4)
 
 
+def test_char_seq_needs_a_recognizer(thue_morse):
+    with pytest.raises(automata._MachineError, match=r"^char_seq needs a recognizer \(type dfa\)$"):
+        char_seq(thue_morse, 4)
+
+
 def test_char_seq_against_enumeration_oracle(no_bb):
     # independent of the arithmetic word indexing: enumerate words in
     # dictionary order and test membership one by one

@@ -433,6 +433,68 @@ def test_parser_text_is_pinned(capsys, monkeypatch):
     assert "".join(blocks) == Path(__file__).with_name("cli_text.txt").read_text(encoding="utf-8")
 
 
+MACHINE_FILES = {(Dfa,): NO_BB, (Dfao,): FAO, (TagSystem,): TAG, (Dfa, Dfao): FAO}
+POSITIONALS = {"ones": ONES, "zeros": ZEROS, "n": "5", "word": "10"}
+
+
+def spellings(path, kinds, arguments, out):
+    """Command lines for the leaf ``path`` that spell its arguments in the
+    ways argparse reads them, right and wrong; files are written to ``out``."""
+    words = path.split()
+    positionals = [MACHINE_FILES[kinds]] if kinds else []
+    positionals += ["ab" if path == "num phi-inv" else POSITIONALS[names[0]]
+                    for names, _ in arguments if not names[0].startswith("-")]
+    required, variants = {}, []
+    for names, settings in arguments:
+        if not names[0].startswith("-"):
+            continue
+        long = names[-1]
+        flag = settings.get("action") == "store_true"
+        value = str(out / long.strip("-")) if "metavar" in settings else "5"
+        full = [long] if flag else [long, value]
+        if settings.get("required"):
+            required[long] = full
+        variants += [(long, full), (long, [long[:5], *full[1:]]), (long, [f"{long}={value}"]), (long, full * 2)]
+        variants += [(long, [name + value]) for name in names if len(name) == 2 and not flag]
+        if settings.get("type") is int:
+            variants.append((long, [long, "-3"]))
+
+    def line(*rest, skip=None):
+        return [*words, *(word for name, full in required.items() if name != skip for word in full), *rest]
+
+    return [
+        line(*positionals),
+        line("--", *positionals),
+        line(*positionals, "--bogus"),
+        line("--bogus", "x", *positionals),
+        line(*positionals[:-1], "-5"),
+        line(),
+        [*words, *positionals],  # without the required options
+        *(line(*positionals, *variant, skip=long) for long, variant in variants),
+    ]
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS, ids=[path for path, *_ in cli._COMMANDS])
+def test_leaf_parsers_answer_as_the_full_tree(tmp_path, capsys, monkeypatch, command):
+    path, _, kinds, arguments, _ = command
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def answer(argv):
+        status = main(argv)
+        written = {file.name: file.read_bytes() for file in out.iterdir()}
+        for file in out.iterdir():
+            file.unlink()
+        return status, capsys.readouterr(), written
+
+    for argv in spellings(path, kinds, arguments, out):
+        with monkeypatch.context() as tree_only:
+            tree_only.setattr(cli, "_LEAVES", {})
+            want = answer(argv)
+        assert answer(argv) == want, argv
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -443,6 +505,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._build_parser.cache_clear()
+    cli._leaf_parser.cache_clear()
     assert main(["num", "phi", "5"]) == 0
     first = len(built)
     assert main(["num", "phi", "6"]) == 0
@@ -461,7 +524,7 @@ def collector():
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch, collector, enabled):
     seen = []
-    parse = argparse.ArgumentParser.parse_args
+    parse = argparse.ArgumentParser.parse_known_args
 
     def spied_parse(self, *args, **kwargs):
         seen.append(gc.isenabled())
@@ -471,7 +534,7 @@ def test_main_pauses_the_collector_and_restores_it(tmp_path, capsys, monkeypatch
         seen.append(gc.isenabled())
         raise KeyError(n)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spied_parse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spied_parse)
     (gc.enable if enabled else gc.disable)()
     cases = [
         (["num", "phi", "5"], 0),
