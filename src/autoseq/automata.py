@@ -28,8 +28,8 @@ classes.  It is ``_refine``, Hopcroft's refinement (Hopcroft 1971; Valmari
 & Lehtinen 2008), which finds them in O(k n log n) for n nodes, followed
 by ``_name_classes``, which numbers them breadth-first from the initial
 one, so they depend neither on the refinement nor on declared state order.
-The naming step takes any stable partition, which lets ``split`` name two
-partitions, one per recognizer, from one refinement.
+The naming step takes any stable partition, observed in one or more ways:
+``split`` names both recognizers from one refinement, numbering it once.
 Searches run the same walk and stop at the first node they look for; its
 shortlex-least word is read off the table filled so far, which gives
 shortest accepted words and shortest counterexamples.  Equivalence checks
@@ -255,6 +255,7 @@ def run(machine: Machine, word: str) -> str:
 
 
 def accepts(dfa: Dfa, word: str) -> bool:
+    _need_recognizers("accepts", dfa)
     return run(dfa, word) in dfa.accepting
 
 
@@ -319,15 +320,21 @@ def _graph(start: Hashable, alphabet, step) -> tuple[list, list[int]]:
     return list(_walk(start, alphabet, step, succ)), succ
 
 
-def _machine(kind: type, alphabet, succ: list[int], observed: list) -> Machine:
-    """Machine of ``kind`` on the successor-index table ``succ`` over
-    ``alphabet``: node ``i`` is state ``q{i}``, node 0 is initial, and each
-    state observes ``observed[i]``, as acceptance or as output letter."""
-    states = tuple([f"q{i}" for i in range(len(observed))])
+def _machines(kind: type, alphabet, succ: list[int], *observations: list) -> list[Machine]:
+    """Machines of ``kind`` on the successor-index table ``succ`` over
+    ``alphabet``, sharing one build of their states and transitions: node
+    ``i`` is state ``q{i}``, node 0 is initial, and in the machine for each
+    list in ``observations`` it observes entry ``i``, as acceptance or output."""
+    states = tuple([f"q{i}" for i in range(len(observations[0]))])
     transitions = dict(zip(product(states, alphabet), map(states.__getitem__, succ)))
     if kind is Dfa:
-        return Dfa(alphabet, states, states[0], frozenset(compress(states, observed)), transitions)
-    return Dfao(alphabet, states, states[0], transitions, dict(zip(states, observed)))
+        return [Dfa(alphabet, states, states[0], frozenset(compress(states, o)), transitions) for o in observations]
+    return [Dfao(alphabet, states, states[0], transitions, dict(zip(states, o))) for o in observations]
+
+
+def _machine(kind: type, alphabet, succ: list[int], observed: list) -> Machine:
+    """The one machine of :func:`_machines` for the observations ``observed``."""
+    return _machines(kind, alphabet, succ, observed)[0]
 
 
 def _refine(succ: list[int], k: int, observed: list) -> list[int]:
@@ -408,15 +415,15 @@ def _refine(succ: list[int], k: int, observed: list) -> list[int]:
     return block
 
 
-def _name_classes(kind: type, alphabet, succ: list[int], start: int, observed: list, block: list[int]) -> Machine:
-    """Machine of ``kind`` on the classes ``block`` of the successor-index
-    table ``succ`` over ``alphabet`` from node ``start``, where node ``i`` is
-    in class ``block[i]`` and observes ``observed[i]``.  The classes must be
-    stable: all members of one agree on observation and on the classes of
-    their successors.  They are numbered breadth-first from the class of
-    ``start`` on the table itself, dropping those it does not reach, so the
-    result depends only on the partition, not on how its classes are
-    numbered.  The first node met in a class stands for it."""
+def _name_classes(kind: type, alphabet, succ: list[int], start: int, block: list[int], *observations) -> list[Machine]:
+    """:func:`_machines` on the classes ``block`` of the successor-index
+    table ``succ`` from node ``start``, node ``i`` being in class ``block[i]``.
+    The classes must be stable: all members of one agree on each observation
+    and on the classes of their successors.  They are numbered once,
+    breadth-first from the class of ``start`` on the table itself, dropping
+    those it does not reach, so the results depend only on the partition,
+    not on how its classes are numbered.  The first node met in a class
+    stands for it."""
     k = len(alphabet)
     number = {block[start]: 0}
     members = [start]
@@ -427,7 +434,7 @@ def _name_classes(kind: type, alphabet, succ: list[int], start: int, observed: l
             if c == len(members):
                 members.append(target)
             table.append(c)
-    return _machine(kind, alphabet, table, [observed[i] for i in members])
+    return _machines(kind, alphabet, table, *[[observed[i] for i in members] for observed in observations])
 
 
 def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list) -> Machine:
@@ -436,7 +443,7 @@ def _quotient(kind: type, alphabet, succ: list[int], start: int, observed: list)
     ``observed[i]``: the classes that :func:`_refine` finds, named by
     :func:`_name_classes`, so the result depends only on what the graph
     observes."""
-    return _name_classes(kind, alphabet, succ, start, observed, _refine(succ, len(alphabet), observed))
+    return _name_classes(kind, alphabet, succ, start, _refine(succ, len(alphabet), observed), observed)[0]
 
 
 def _table(machine: Machine) -> list[int]:

@@ -29,6 +29,7 @@ from .tagsystem import _digit_table, _unfold
 
 def char_bit(dfa: Dfa, word: str) -> int:
     """1 if the recognizer accepts ``word``, else 0."""
+    _need_recognizers("char_bit", dfa)
     return 1 if accepts(dfa, word) else 0
 
 
@@ -107,4 +108,5 @@ def residuals(dfa: Dfa) -> list[Residual]:
 def residual_bit(dfa: Dfa, prefix: str, word: str) -> int:
     """1 if ``word`` belongs to the residual of L(dfa) by ``prefix``, i.e.
     if the recognizer accepts ``prefix + word``."""
+    _need_recognizers("residual_bit", dfa)
     return char_bit(dfa, prefix + word)

@@ -26,7 +26,8 @@ from itertools import compress, count as indices
 from operator import ne
 
 from . import automata
-from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _name_classes, _quotient, _words, minimize as _minimal
+from .automata import Dfa, Dfao, _AlphabetError, _graph, _machine, _need_recognizers, _quotient, _table, _words
+from .automata import minimize as _minimal
 from .charseq import _bits_line, char_seq
 from .numeration import _check_natural
 from .tagsystem import _digit_table, _render
@@ -36,40 +37,46 @@ _BINARY = ("0", "1")
 
 def _pair_graph(dfa: Dfa):
     """The compiler's pair graph, walked by :func:`_graph` from its start
-    node (s(0), s(-1)), which holds the virtual s(-1) as ``None``:
+    node (s(0), s(-1)) over pairs of indices into ``dfa.states``, with
+    successors read off :func:`_table`.  The virtual s(-1) is index |Q|:
     word(-1)·a = word(-1) and word(-1)·b = word(0), so a keeps it in place
     and b leads to the initial state.  Returns the nodes in walk order, the
     successor-index table over the digits and each node's output letter."""
     if tuple(dfa.alphabet) != ("a", "b"):
         raise _AlphabetError(dfa, "the compiler expects the alphabet 'a b' in that order")
-    first, second = dfa.alphabet
-    delta = {**dfa.transitions, (None, first): None, (None, second): dfa.initial}
+    table, n = _table(dfa), len(dfa.states)
+    start = dfa.states.index(dfa.initial)
+    on_a, on_b = [*table[0::2], n], [*table[1::2], start]
 
     def step(raw, digit):
         on_n, on_prev = raw
         if digit == "1":
-            return (delta[on_n, first], delta[on_prev, second])
-        return (delta[on_prev, second], delta[on_prev, first])
+            return (on_a[on_n], on_b[on_prev])
+        return (on_b[on_prev], on_a[on_prev])
 
-    order, succ = _graph((dfa.initial, None), _BINARY, step)
-    return order, succ, ["1" if on_n in dfa.accepting else "0" for on_n, _ in order]
+    order, succ = _graph((start, n), _BINARY, step)
+    bit = ["1" if state in dfa.accepting else "0" for state in dfa.states]
+    return order, succ, [bit[on_n] for on_n, _ in order]
 
 
 def compile_dfa_with_pairs(dfa: Dfa) -> tuple[Dfao, dict[str, tuple[str, str] | None]]:
     """Unminimized compilation, keeping the bookkeeping visible.
 
     Returns the compiled machine plus a map from each of its state names to
-    the tracked pair (state on word(n), state on word(n-1)).  At most
-    |Q|**2 + 1 states are created.  The leading-zeros state's node is the
-    ordinary pair (s(0), None); the map still gives it None, for compatibility.
+    the tracked pair (state on word(n), state on word(n-1)), named back from
+    the pair graph's indices.  At most |Q|**2 + 1 states are created.  The
+    leading-zeros state's node is the ordinary pair (s(0), s(-1)); the map
+    gives it None, for compatibility.
     """
+    _need_recognizers("compile_dfa_with_pairs", dfa)
     order, succ, outputs = _pair_graph(dfa)
     compiled = _machine(Dfao, _BINARY, succ, outputs)
-    return compiled, dict(zip(compiled.states, [None, *order[1:]]))
+    return compiled, dict(zip(compiled.states, [None, *[(dfa.states[q], dfa.states[p]) for q, p in order[1:]]]))
 
 
 def compile_dfa(dfa: Dfa, minimize: bool = True) -> Dfao:
     """Base-2 output machine computing the characteristic sequence of L(dfa)."""
+    _need_recognizers("compile_dfa", dfa)
     compiled, _ = compile_dfa_with_pairs(dfa)
     return _minimal(compiled) if minimize else compiled
 
@@ -119,25 +126,31 @@ def split_dfa(dfa: Dfa) -> tuple[Dfa, Dfa]:
     The start node then joins the class, if any, that outputs l exactly
     when it does, whose digit 0 leads into sink(l) and whose digit 1 leads
     into the class of the start node's digit-1 successor.  No two classes
-    of the refinement are equivalent, so each is found at most once.
+    of the refinement are equivalent, so each is found at most once.  With
+    no sink, both recognizers are the refinement itself, numbered once.
     """
+    _need_recognizers("split_dfa", dfa)
     order, succ, outputs = _pair_graph(dfa)
     n = len(order)
     succ = [n, *succ[1:], n, n]
-    # Called through its module, so that a patched _refine sees the call.
+    # _refine and _name_classes are called through their module, so that
+    # a patched one sees the call.
     block = automata._refine(succ, 2, [*outputs, None])
     on = block.__getitem__
     # Each class by its output and its successors' classes, which no two
     # share; the dead node, which has no output, is left out.
     class_of = {(out, c0, c1): c for out, c, c0, c1 in zip(outputs, block, map(on, succ[0::2]), map(on, succ[1::2]))}
     sinks = {out: c for (out, c0, c1), c in class_of.items() if c0 == c1 == c}
+    observations = [[*map(letter.__eq__, outputs), False] for letter in "10"]
+    if not sinks:
+        return tuple(automata._name_classes(Dfa, _BINARY, succ, 0, block, *observations))
     machines = []
-    for letter, other in ("10", "01"):
+    for observed, other in zip(observations, "01"):
         placed = block
         if other in sinks:
             sink = sinks[other]
             placed = [class_of.get((outputs[0], sink, block[succ[1]]), block[0]), *block[1:n], sink]
-        machines.append(_name_classes(Dfa, _BINARY, succ, 0, [*map(letter.__eq__, outputs), False], placed))
+        machines += automata._name_classes(Dfa, _BINARY, succ, 0, placed, observed)
     return tuple(machines)
 
 
@@ -214,6 +227,7 @@ def first_mismatch(dfa: Dfa, count: int) -> int | None:
     spaces, so term n is character 2n, and only when the lines differ are
     their even characters compared to locate the first differing index.
     """
+    _need_recognizers("first_mismatch", dfa)
     _check_natural("count", count)
     compiled = compile_dfa(dfa)
     got = _render(_digit_table(compiled), compiled.initial, count, compiled.outputs)

@@ -380,6 +380,7 @@ def test_recognizer_operations_reject_output_machines(no_bb, thue_morse, paperfo
         "complement": lambda: complement(thue_morse),
         "shortest_accepted": lambda: shortest_accepted(thue_morse),
         "is_empty": lambda: is_empty(thue_morse),
+        "accepts": lambda: accepts(thue_morse, "01"),
     }
     for name, call in operations.items():
         with pytest.raises(automata._MachineError) as caught:

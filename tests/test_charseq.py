@@ -60,6 +60,15 @@ def test_char_seq_needs_a_recognizer(thue_morse):
         char_seq(thue_morse, 4)
 
 
+def test_bits_need_a_recognizer(thue_morse):
+    for name, call in (("char_bit", lambda: char_bit(thue_morse, "01")),
+                       ("residual_bit", lambda: residual_bit(thue_morse, "0", "1"))):
+        with pytest.raises(automata._MachineError) as caught:
+            call()
+        assert str(caught.value) == f"{name} needs a recognizer (type dfa)"
+        assert caught.value.machine is thue_morse
+
+
 def test_char_seq_against_enumeration_oracle(no_bb):
     # independent of the arithmetic word indexing: enumerate words in
     # dictionary order and test membership one by one

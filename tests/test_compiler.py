@@ -5,6 +5,7 @@ import pytest
 
 from autoseq import (
     Dfa,
+    Dfao,
     PartitionError,
     accepts,
     canonical_recognizer,
@@ -231,6 +232,22 @@ def test_split_refines_the_pair_graph_and_a_dead_node(monkeypatch):
     assert sizes == [2305 + 1]
 
 
+def test_split_numbers_one_partition_once_and_two_twice(monkeypatch, no_bb):
+    name_classes = automata._name_classes
+    observations = []
+    monkeypatch.setattr(automata, "_name_classes", lambda *args: observations.append(len(args) - 5) or name_classes(*args))
+    # No class of a mod-N counter's pair graph is a sink, so both recognizers
+    # are the refinement itself and differ only in acceptance: its classes
+    # are numbered once, for both observations.
+    split_dfa(mod_counter(48))
+    assert observations == [2]
+    # no_bb's pair graph has a sink that outputs 0, which the dead node joins
+    # for the ones recognizer only: two partitions, each numbered on its own.
+    observations.clear()
+    split_dfa(no_bb)
+    assert observations == [1, 1]
+
+
 def test_constructions_validate_only_what_they_return(monkeypatch):
     dfa = mod_counter(12)
     ones, zeros = split_dfa(dfa)
@@ -262,6 +279,24 @@ def test_sound_machines_are_checked_whole(monkeypatch, tmp_path):
     assert checked == []
 
 
+def test_compiler_functions_need_a_recognizer(thue_morse):
+    # Over a b, so that only its kind is wrong for the compiler.
+    letter = {"0": "a", "1": "b"}
+    transitions = {(state, letter[digit]): target for (state, digit), target in thue_morse.transitions.items()}
+    machine = Dfao(("a", "b"), thue_morse.states, thue_morse.initial, transitions, thue_morse.outputs)
+    operations = {
+        "compile_dfa": lambda: compile_dfa(machine),
+        "compile_dfa_with_pairs": lambda: compile_dfa_with_pairs(machine),
+        "split_dfa": lambda: split_dfa(machine),
+        "first_mismatch": lambda: first_mismatch(machine, 10),
+    }
+    for name, call in operations.items():
+        with pytest.raises(automata._MachineError) as caught:
+            call()
+        assert str(caught.value) == f"{name} needs a recognizer (type dfa)"
+        assert caught.value.machine is machine
+
+
 def test_compiled_states_track_word_pairs(no_bb):
     raw, pairs = compile_dfa_with_pairs(no_bb)
     assert pairs[raw.initial] is None
@@ -270,6 +305,10 @@ def test_compiled_states_track_word_pairs(no_bb):
     machines = [no_bb] + [random_dfa(rng) for _ in range(3)]
     for dfa in machines:
         raw, pairs = compile_dfa_with_pairs(dfa)
+        # The pair graph walks state indices; the map names every pair back.
+        assert [state for state, pair in pairs.items() if pair is None] == [raw.initial]
+        for pair in pairs.values():
+            assert pair is None or (type(pair) is tuple and len(pair) == 2 and set(pair) <= set(dfa.states))
         for n in range(1, 1 << 12):
             state = run(raw, to_digits(n, 2))
             expected = (
